@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
 from .cliqopt import (
+    MAX_CLIQUE_ORDER,
     clique_number,
     chromatic_number,
     fractional_chromatic,
@@ -34,6 +35,11 @@ from .spectra import lambda_min, lambda_max
 
 MAX_BETA_ORDER = 14
 MAX_ORBIT_ORDER = 10
+# chromatic searches in a report; hoffman and lambda*_K use MAX_CLIQUE_ORDER
+MAX_CHROMATIC_ORDER = 18
+# the complete-decomposition LP supports n <= 12, but above 10 a single
+# interactive report would wait minutes on it
+REPORT_COMPLETE_ORDER = 10
 
 
 def _require_regular(g: SimpleGraph) -> int:
@@ -603,10 +609,15 @@ class BoundReport:
     m: int
     lam: float
     entries: list[BoundEntry] = field(default_factory=list)
+    skipped: list[tuple[str, str]] = field(default_factory=list)  # (name, reason)
 
 
 def bound_report(g: SimpleGraph, name: str = "graph", partition: CliquePartition | None = None, lp: bool = False) -> BoundReport:
-    """Run every applicable bound on G and aggregate a checked report."""
+    """Run every applicable bound on G and aggregate a checked report.
+
+    A bound whose preconditions hold but whose exhaustive search or LP is
+    capped below the order of G is listed in rep.skipped with the reason.
+    """
 
     lam = lambda_min(g) if g.n else 0.0
     rep = BoundReport(name, g.n, g.m, lam)
@@ -617,9 +628,16 @@ def bound_report(g: SimpleGraph, name: str = "graph", partition: CliquePartition
         tight = abs(value - lam) <= 1e-8
         rep.entries.append(BoundEntry(entry_name, kind, value, exact, tight, note))
 
+    def fits(entry_names, cap):
+        if g.n <= cap:
+            return True
+        for entry_name in entry_names:
+            rep.skipped.append((entry_name, f"n = {g.n} exceeds the cap n <= {cap}"))
+        return False
+
     if connected and bipartition(g) is None:
         put("alon_sudakov", "lower", alon_sudakov_lower(g))
-    if k is not None and k > 0 and g.n <= MAX_BETA_ORDER:
+    if k is not None and k > 0 and fits(["trevisan"], MAX_BETA_ORDER):
         put("trevisan", "lower", trevisan_lower(g))
     if k is not None and connected and g.n >= 2:
         value, vacuous = tm_lower(g)
@@ -631,20 +649,20 @@ def bound_report(g: SimpleGraph, name: str = "graph", partition: CliquePartition
         b = clique_partition_bound(partition, g)
         put("clique_partition", "lower", float(b), b, note=f"mu={partition.mu}")
     if lp and g.m > 0:
-        star_k = lambda_star_K(g)
-        put("lambda_star_K", "lower", float(star_k.value), star_k.value)
-        # the complete-decomposition LP supports n <= 12, but above 10 a
-        # single interactive report would wait minutes on it
-        if g.n <= 10:
+        if fits(["lambda_star_K"], MAX_CLIQUE_ORDER):
+            star_k = lambda_star_K(g)
+            put("lambda_star_K", "lower", float(star_k.value), star_k.value)
+        if fits(["lambda_star_C"], REPORT_COMPLETE_ORDER):
             star_c = lambda_star_C(g)
             put("lambda_star_C", "lower", float(star_c.value), star_c.value)
     if k is not None and k > 0:
-        put("hoffman", "upper", hoffman_upper(g))
-        frac, chrom = chromatic_uppers(g) if g.n <= 18 else (None, None)
-        if frac is not None:
+        if fits(["hoffman"], MAX_CLIQUE_ORDER):
+            put("hoffman", "upper", hoffman_upper(g))
+        if fits(["fractional_chromatic", "chromatic"], MAX_CHROMATIC_ORDER):
+            frac, chrom = chromatic_uppers(g)
             put("fractional_chromatic", "upper", frac)
             put("chromatic", "upper", chrom)
-    if g.m > 0 and g.n <= 18:
+    if g.m > 0 and fits(["lovasz_fractional", "lovasz_chromatic"], MAX_CHROMATIC_ORDER):
         lov_f, lov_c = lovasz_upper(g)
         put("lovasz_fractional", "upper", lov_f)
         put("lovasz_chromatic", "upper", lov_c)

@@ -97,18 +97,22 @@ def _cmd_bounds(args) -> int:
             }
             for en in rep.entries
         ],
+        "skipped": [{"name": name, "reason": reason} for name, reason in rep.skipped],
     }
     as_json = json.dumps(doc, indent=2, sort_keys=True)
     if args.json and not args.all:
         print(as_json)
         return EXIT_OK
     print(f"graph {rep.graph}: n={rep.n} m={rep.m} lambda={rep.lam:.12f}")
-    width = max((len(en.name) for en in rep.entries), default=4)
+    names = [en.name for en in rep.entries] + [name for name, _ in rep.skipped]
+    width = max(map(len, names), default=4)
     for en in rep.entries:
         exact = f" = {format_q(en.exact)}" if en.exact is not None else ""
         tight = " tight" if en.tight else ""
         note = f" [{en.note}]" if en.note else ""
         print(f"  {en.name.ljust(width)}  {en.kind:5s}  {en.value:+.12f}{exact}{tight}{note}")
+    for name, reason in rep.skipped:
+        print(f"  {name.ljust(width)}  skipped [{reason}]")
     if args.all:
         print(as_json)
     bad = [
@@ -147,12 +151,10 @@ def _cmd_lambda_star_c(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     perturb = "petersen" if args.negative_control else None
-    rows = build_rows(perturb=perturb, threads=_threads())
-    if args.filter:
-        rows = [r for r in rows if args.filter in r.example]
-        if not rows:
-            print(f"no rows match filter {args.filter!r}", file=sys.stderr)
-            return EXIT_INPUT
+    rows = build_rows(perturb=perturb, threads=_threads(), select=args.filter)
+    if not rows:
+        print(f"no rows match filter {args.filter!r}", file=sys.stderr)
+        return EXIT_INPUT
     print(format_table(rows))
     if args.json:
         with open(args.json, "w") as fh:

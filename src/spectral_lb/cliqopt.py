@@ -272,7 +272,8 @@ def lambda_star_K(g: SimpleGraph) -> LambdaStarResult:
     for j, v in enumerate(zvals):
         if v != 0:
             count = v * mu
-            assert count.denominator == 1
+            if count.denominator != 1:
+                raise SimplexError("lambda*_K optimum is not integral at mu")
             mult[cliques[j]] = int(count)
     partition = CliquePartition(
         mu, tuple(c for c, k in sorted(mult.items()) for _ in range(k))
@@ -402,7 +403,8 @@ def lambda_star_C(h) -> LambdaStarResult:
     pieces = []
     for sh in sorted(nets, key=lambda s: (s[0], len(s[1]), s[1])):
         count = nets[sh] * mu
-        assert count.denominator == 1
+        if count.denominator != 1:
+            raise SimplexError("lambda*_C optimum is not integral at mu")
         mult[sh] = int(count)
         pieces.append(complete_piece(sh[0], sh[1], count))
     cert = CompleteDecomposition(n, tuple(pieces))

@@ -606,7 +606,8 @@ def essential_vertices(k: CliquePartition, g: SimpleGraph) -> EssentialReduction
     star_r_u, star_r, _ = clique_partition_stats(kstar, gstar)
     if any(x != r for x in star_r_u):
         raise AssertionError("restricted partition lost the constant r property")
-    assert star_r == r
+    if star_r != r:
+        raise AssertionError("restricted partition changed r")
     return EssentialReduction(vstar, kstar, gstar)
 
 

@@ -1,10 +1,11 @@
 """Exact rational arithmetic used throughout the package.
 
-All graph weights, LP tableaus and certificates are kept in exact
-rationals; floating point only ever appears inside the eigensolver.
-``gmpy2.mpq`` is used when available (it is several times faster than
-``fractions.Fraction`` in the simplex inner loops) with a transparent
-stdlib fallback.
+All graph weights and certificates are kept in exact rationals; floating
+point only ever appears inside the eigensolver and in the simplex's
+candidate ranking.  Elimination (the simplex basis inverse, kernels, the
+exact PSD test) runs fraction-free over integers through bareiss_step.
+``gmpy2.mpq`` (the optional ``gmpy`` extra) is used when available, with
+a transparent ``fractions.Fraction`` fallback.
 """
 
 from __future__ import annotations
@@ -56,10 +57,14 @@ def parse_q(text: str):
 
 
 def numer(x) -> int:
+    if type(x) is int:
+        return x
     return int(as_q(x).numerator)
 
 
 def denom(x) -> int:
+    if type(x) is int:
+        return 1
     return int(as_q(x).denominator)
 
 
@@ -81,3 +86,38 @@ def as_fraction(x) -> Fraction:
     """Convert to a stdlib Fraction (used for float-free interop)."""
 
     return Fraction(numer(x), denom(x))
+
+
+# ---------------------------------------------------------------------------
+# fraction-free elimination
+
+
+def integer_row(values) -> tuple[list[int], int]:
+    """(values * s as ints, s) with s the lcm of the denominators."""
+
+    s = denominator_lcm(values)
+    return [numer(v) * (s // denom(v)) for v in values], s
+
+
+def bareiss_step(rows, r, col, prev, targets=None) -> None:
+    """One fraction-free (Bareiss) elimination step on integer rows, in place.
+
+    col[i] is row i's entry in the pivot column and p = col[r] the pivot.
+    Every target row i != r (all rows by default) becomes
+    (p * rows[i] - col[i] * rows[r]) // prev, where prev is the pivot of
+    the previous step (1 before the first); the pivot row is left as it is.
+    By Sylvester's identity every entry stays an integer, a minor of the
+    original matrix, so the division is exact and entries grow only as
+    determinants do.
+    """
+
+    p = col[r]
+    prow = rows[r]
+    for i in range(len(rows)) if targets is None else targets:
+        if i == r:
+            continue
+        f = col[i]
+        if f:
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], prow)]
+        elif p != prev:
+            rows[i] = [p * x // prev for x in rows[i]]

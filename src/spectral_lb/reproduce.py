@@ -134,11 +134,15 @@ def _petersen(perturb):
     return g
 
 
-def build_rows(perturb: str | None = None, threads: int = 1) -> list[ReproRow]:
+def build_rows(
+    perturb: str | None = None, threads: int = 1, select: str | None = None
+) -> list[ReproRow]:
     """Recompute every table row; perturb='petersen' flips the negative control.
 
-    Row groups are independent; threads > 1 runs them on a thread pool with
-    the output reassembled in canonical order.
+    Row groups are independent; select keeps only the groups whose example
+    id contains it (every row of a group carries the group's id), and
+    threads > 1 runs them on a thread pool with the output reassembled in
+    canonical order.
     """
 
     groups = [
@@ -165,6 +169,9 @@ def build_rows(perturb: str | None = None, threads: int = 1) -> list[ReproRow]:
         ("star-free", _rows_star_free),
         ("cubic-claw-free", _rows_cubic_clawfree),
     ]
+
+    if select:
+        groups = [g for g in groups if select in g[0]]
 
     def run(group):
         example, builder = group

@@ -1,30 +1,42 @@
-"""Exact rational LP solver (two-phase revised simplex).
+"""Exact LP solver (two-phase revised simplex) over integers.
 
-Everything is kept in exact rationals, so optima and optimal bases are
-certificates rather than approximations.  Columns are sparse (row, value)
-lists; the basis inverse is dense.  Pricing is Dantzig's rule with float
-screening (floats only rank candidates; every decision is re-verified
-exactly).  A run of degenerate pivots switches the ratio test to a
-lexicographic perturbation seeded at the current basis, which breaks the
-stall and guarantees termination from any starting basis.  Callers may
-hand in a feasible basis to skip phase 1.
+Optima and optimal bases are certificates rather than approximations.
+solve_standard scales the standard form to integers once: each row and
+its right-hand side by the lcm of their denominators, the costs by the lcm
+of theirs.  Neither scaling moves the feasible set, x_B or a direction
+B^-1 a_j, so every pivot decision is the one the rational problem makes.
+
+The basis inverse is kept fraction-free as B^-1 = A^/D, with D = |det B|
+and A^ = +-adj(B) an integer matrix; x_B and the duals are integer
+numerators over the same D.  A pivot on row r along the direction
+d = d^/D is one Bareiss step (rationals.bareiss_step): every other row
+becomes A^_i <- (d^_r A^_i - d^_i A^_r) / D, exact by Sylvester's
+identity, row r stays, and D <- d^_r.  The ratio test and the
+lexicographic tie-break compare by cross-multiplication, reduced-cost
+signs come from D c_j - y^.a_j, and the optimality audit runs in
+integers.  Rationals are built only for the returned x, duals and
+objective, in the caller's row scaling.
+
+Columns are sparse (row, value) lists; the basis inverse is dense.
+Pricing is Dantzig's rule with float screening (floats only rank
+candidates; every decision is re-verified exactly).  The first degenerate
+pivot switches the ratio test to a lexicographic perturbation seeded at
+the current basis, which breaks the stall and guarantees termination from
+any starting basis.  Callers may hand in a feasible basis to skip phase 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 import numpy as np
 
-from .rationals import Q, QZERO
+from .rationals import Q, QZERO, bareiss_step, denom, integer_row, numer
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-
-# degenerate pivots tolerated before the lexicographic ratio test engages;
-# engaging immediately measures fastest on the LP families here
-_DEGENERATE_STREAK = 0
 
 
 class SimplexError(RuntimeError):
@@ -41,106 +53,107 @@ class LPSolution:
     pivots: int = 0
 
 
-def _identity(m):
-    return [[Q(1) if i == j else QZERO for j in range(m)] for i in range(m)]
-
-
 def _invert(columns, basis, m):
-    """Exact inverse of the m x m basis matrix, or None when singular."""
+    """(A^, D) with A^ B = D I and D = |det B| > 0, or None when singular.
 
-    a = [[QZERO] * m for _ in range(m)]
+    Fraction-free Gauss-Jordan on [B | I] over integer columns.
+    """
+
+    rows = [[0] * m + [1 if i == k else 0 for k in range(m)] for i in range(m)]
     for j, col_idx in enumerate(basis):
         for r, v in columns[col_idx]:
-            a[r][j] = v
-    inv = _identity(m)
+            rows[r][j] = v
+    prev = 1
     for col in range(m):
-        piv = next((r for r in range(col, m) if a[r][col] != 0), None)
+        piv = next((r for r in range(col, m) if rows[r][col] != 0), None)
         if piv is None:
             return None
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        scale = 1 / a[col][col]
-        a[col] = [x * scale for x in a[col]]
-        inv[col] = [x * scale for x in inv[col]]
-        for r in range(m):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
+        rows[col], rows[piv] = rows[piv], rows[col]
+        bareiss_step(rows, col, [row[col] for row in rows], prev)
+        prev = rows[col][col]
+    if prev < 0:
+        return [[-x for x in row[m:]] for row in rows], -prev
+    return [row[m:] for row in rows], prev
 
 
 class _Core:
-    """Primal simplex over an explicit basis inverse."""
+    """Primal simplex over an integer basis inverse A^/D.
 
-    def __init__(self, columns, cost, b, m):
+    rows[i] is [A^_i | x^_i], the i-th row of D B^-1 [I | b].  rscale and
+    cscale are the integer scalings of the rows and of the costs; the float
+    screen divides them out so that it ranks in the caller's scaling.
+    """
+
+    def __init__(self, columns, cost, b, m, rscale, cscale=1):
         self.columns = columns
         self.cost = cost
+        self.cscale = cscale
         self.b = b
+        self.rscale = rscale
         self.m = m
         self.basis = []
-        self.binv = []
-        self.xb = []
+        self.rows = []
+        self.det = 1
         self.in_basis = [False] * len(columns)
         self.allowed = [True] * len(columns)
         self.blocked = None  # numpy mask mirroring in_basis/allowed
-        self.lex_t = None  # perturbation state, only during degenerate stalls
+        self.lex_seed = None  # basis B_seed, only during degenerate stalls
         self.pivots = 0
 
     def set_basis(self, basis):
         if len(basis) != self.m or len(set(basis)) != self.m:
             return False
-        binv = _invert(self.columns, basis, self.m)
-        if binv is None:
+        inv = _invert(self.columns, basis, self.m)
+        if inv is None:
             return False
-        xb = [
-            sum((row[r] * self.b[r] for r in range(self.m)), QZERO)
-            for row in binv
-        ]
+        adj, det = inv
+        xb = [sum(x * v for x, v in zip(row, self.b)) for row in adj]
         if any(v < 0 for v in xb):
             return False
         self.basis = list(basis)
-        self.binv = binv
-        self.xb = xb
+        self.rows = [row + [x] for row, x in zip(adj, xb)]
+        self.det = det
         self.in_basis = [False] * len(self.columns)
         for j in basis:
             self.in_basis[j] = True
         return True
 
-    def duals(self):
-        y = [QZERO] * self.m
+    def xhat(self, i):
+        return self.rows[i][self.m]
+
+    def prices(self):
+        """c_B [A^ | x^] = D [y | objective]: duals and objective over D."""
+
+        acc = [0] * (self.m + 1)
         for i, j in enumerate(self.basis):
             cb = self.cost[j]
-            if cb != 0:
-                row = self.binv[i]
-                for r in range(self.m):
-                    if row[r] != 0:
-                        y[r] = y[r] + cb * row[r]
-        return y
+            if cb:
+                for k, x in enumerate(self.rows[i]):
+                    if x:
+                        acc[k] += cb * x
+        return acc
+
+    def direction(self, j):
+        """d^ = A^ a_j, the numerators of B^-1 a_j over D."""
+
+        col = self.columns[j]
+        return [sum(row[r] * v for r, v in col) for row in self.rows]
 
     def reduced_cost(self, j, y):
-        rc = self.cost[j]
-        for r, v in self.columns[j]:
-            if y[r] != 0:
-                rc = rc - y[r] * v
-        return rc
+        """D c_j - y^.a_j: column j's reduced cost times D * cscale (> 0)."""
 
-    def objective(self):
-        return sum(
-            (self.cost[j] * self.xb[i] for i, j in enumerate(self.basis)),
-            QZERO,
-        )
+        return self.det * self.cost[j] - sum(y[r] * v for r, v in self.columns[j])
 
     def _refresh_float(self):
-        """Float image of the column matrix, used only to rank candidates."""
+        """Float image of the caller's column matrix, used only to rank candidates."""
 
         ncols = len(self.columns)
         f = np.zeros((self.m, ncols))
         for j, col in enumerate(self.columns):
             for r, v in col:
-                f[r, j] = float(v)
+                f[r, j] = v / self.rscale[r]
         self.float_cols = f
-        self.float_cost = np.array([float(c) for c in self.cost])
+        self.float_cost = np.array([c / self.cscale for c in self.cost])
         self.blocked = np.fromiter(
             (self.in_basis[j] or not self.allowed[j] for j in range(ncols)),
             dtype=bool,
@@ -163,7 +176,8 @@ class _Core:
         and no-candidate cases, so optimality claims never rest on floats.
         """
 
-        yf = np.array([float(v) for v in y])
+        den = self.det * self.cscale
+        yf = np.array([v * s / den for v, s in zip(y, self.rscale)])
         rc = self.float_cost - yf @ self.float_cols
         rc[self.blocked] = np.inf
         for _ in range(12):
@@ -178,116 +192,94 @@ class _Core:
     def _choose_leaving(self, d):
         """Minimum-ratio row; Bland-style tie-break outside lex mode.
 
+        Ratios x^_i / d^_i are compared by cross-multiplication (d^_i > 0).
         In lex mode the perturbed right-hand side b + B_seed (eps^1..eps^m)
         makes the problem nondegenerate: ties on x_B/d are resolved by
         lexicographic comparison of the rows of T/d where T = B^-1 B_seed,
-        and the winner is unique because T is nonsingular.
+        and the winner is unique because T is nonsingular.  Only the
+        entries a tie needs are formed, as D T_ik = A^_i . a_(seed k).
         """
 
+        m = self.m
         leave = -1
-        theta = None
-        if self.lex_t is None:
-            for i in range(self.m):
-                if d[i] > 0:
-                    ratio = self.xb[i] / d[i]
-                    if (
-                        theta is None
-                        or ratio < theta
-                        or (ratio == theta and self.basis[i] < self.basis[leave])
-                    ):
-                        theta = ratio
+        if self.lex_seed is None:
+            for i in range(m):
+                di = d[i]
+                if di > 0:
+                    if leave < 0:
                         leave = i
-            return leave, theta
+                        continue
+                    lhs = self.rows[i][m] * d[leave]
+                    rhs = self.rows[leave][m] * di
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
+                        leave = i
+            return leave
         ties = []
-        for i in range(self.m):
-            if d[i] > 0:
-                ratio = self.xb[i] / d[i]
-                if theta is None or ratio < theta:
-                    theta = ratio
+        for i in range(m):
+            di = d[i]
+            if di > 0:
+                if not ties:
                     ties = [i]
-                elif ratio == theta:
+                    continue
+                lhs = self.rows[i][m] * d[ties[0]]
+                rhs = self.rows[ties[0]][m] * di
+                if lhs < rhs:
+                    ties = [i]
+                elif lhs == rhs:
                     ties.append(i)
-        if theta is None:
-            return -1, None
-        for col in range(self.m):
+        if not ties:
+            return -1
+        for seed in self.lex_seed:
             if len(ties) == 1:
                 break
-            best_val = None
-            keep = []
-            for i in ties:
-                val = self.lex_t[i][col] / d[i]
-                if best_val is None or val < best_val:
-                    best_val = val
+            a = self.columns[seed]
+            t = {i: sum(self.rows[i][r] * v for r, v in a) for i in ties}
+            keep = [ties[0]]
+            for i in ties[1:]:
+                k = keep[0]
+                lhs = t[i] * d[k]
+                rhs = t[k] * d[i]
+                if lhs < rhs:
                     keep = [i]
-                elif val == best_val:
+                elif lhs == rhs:
                     keep.append(i)
             ties = keep
-        return ties[0], theta
+        return ties[0]
 
     def iterate(self, max_pivots=1000000):
         self._refresh_float()
-        self.lex_t = None
-        streak = 0
-        last_obj = self.objective()
+        self.lex_seed = None
+        m = self.m
+        last = None
         while True:
             if self.pivots > max_pivots:
                 raise SimplexError("pivot limit exceeded")
-            y = self.duals()
+            acc = self.prices()
+            y, obj = acc[:m], acc[m]
+            # leave lex mode once the objective strictly improves
+            if self.lex_seed is not None and obj * last[1] < last[0] * self.det:
+                self.lex_seed = None
+            last = (obj, self.det)
             enter = self._float_screened_entering(y)
             if enter < 0:
                 return OPTIMAL
-            col = self.columns[enter]
-            d = []
-            for row in self.binv:
-                acc = QZERO
-                for r, v in col:
-                    x = row[r]
-                    if x:
-                        acc = acc + x * v
-                d.append(acc)
-            leave, theta = self._choose_leaving(d)
+            d = self.direction(enter)
+            leave = self._choose_leaving(d)
             if leave < 0:
                 return UNBOUNDED
-            self._pivot(enter, leave, d, theta)
-            obj = self.objective()
-            if theta == 0:
-                streak += 1
-                if streak > _DEGENERATE_STREAK and self.lex_t is None:
-                    self.lex_t = _identity(self.m)
-            else:
-                streak = 0
-            if self.lex_t is not None and obj < last_obj:
-                self.lex_t = None
-                streak = 0
-            last_obj = obj
+            degenerate = self.rows[leave][m] == 0
+            self._pivot(enter, leave, d)
+            if degenerate and self.lex_seed is None:
+                self.lex_seed = tuple(self.basis)
 
-    def _pivot(self, enter, leave, d, theta):
+    def _pivot(self, enter, leave, d):
         self.pivots += 1
-        piv = d[leave]
-        prow = [x / piv if x else x for x in self.binv[leave]]
-        self.binv[leave] = prow
-        for i in range(self.m):
-            if i != leave and d[i] != 0:
-                f = d[i]
-                row = self.binv[i]
-                self.binv[i] = [
-                    x - f * y if y else x for x, y in zip(row, prow)
-                ]
-        if self.lex_t is not None:
-            trow = [x / piv if x else x for x in self.lex_t[leave]]
-            self.lex_t[leave] = trow
-            for i in range(self.m):
-                if i != leave and d[i] != 0:
-                    f = d[i]
-                    row = self.lex_t[i]
-                    self.lex_t[i] = [
-                        x - f * y if y else x for x, y in zip(row, trow)
-                    ]
-        if theta != 0:
-            for i in range(self.m):
-                if i != leave and d[i] != 0:
-                    self.xb[i] = self.xb[i] - d[i] * theta
-        self.xb[leave] = theta
+        bareiss_step(self.rows, leave, d, self.det)
+        self.det = d[leave]
+        if self.det < 0:
+            # a negative pivot (only when driving out artificials) flips det
+            self.det = -self.det
+            self.rows = [[-x for x in row] for row in self.rows]
         old = self.basis[leave]
         self.in_basis[old] = False
         self.in_basis[enter] = True
@@ -306,63 +298,70 @@ def solve_standard(columns, cost, b, m, start_basis=None):
     optimality is re-verified by exact complementary slackness.
     """
 
-    columns = [sorted(col) for col in columns]
-    cost = [QZERO + c for c in cost]
-    b = [QZERO + v for v in b]
-    flip = [v < 0 for v in b]
-    if any(flip):
-        b = [-v if f else v for v, f in zip(b, flip)]
-        columns = [
-            [(r, -v if flip[r] else v) for r, v in col] for col in columns
-        ]
-    nstruct = len(columns)
-    core = _Core(list(columns), list(cost), b, m)
+    # sign-normalise and scale each row to integers by the lcm of its
+    # denominators, and the costs by the lcm of theirs
+    fracs = [[(r, numer(v), denom(v)) for r, v in sorted(col)] for col in columns]
+    sign = [-1 if v < 0 else 1 for v in b]
+    rscale = [denom(v) for v in b]
+    for col in fracs:
+        for r, _, dv in col:
+            if dv != 1:
+                rscale[r] = lcm(rscale[r], dv)
+    b_int = [sg * numer(v) * (s // denom(v)) for v, s, sg in zip(b, rscale, sign)]
+    int_cols = [
+        [(r, sign[r] * nv * (rscale[r] // dv)) for r, nv, dv in col]
+        for col in fracs
+    ]
+    cost_int, cscale = integer_row(cost)
+    nstruct = len(int_cols)
+    core = _Core(int_cols, cost_int, b_int, m, rscale, cscale)
 
     started = False
     if start_basis is not None:
         started = core.set_basis(list(start_basis))
     if not started:
-        art = list(range(nstruct, nstruct + m))
+        # artificial i is the caller's unit column, so row i's scale
         for i in range(m):
-            core.columns.append([(i, Q(1))])
-            core.cost.append(QZERO)
+            core.columns.append([(i, rscale[i])])
         core.in_basis = [False] * len(core.columns)
         core.allowed = [True] * len(core.columns)
-        phase1_cost = [QZERO] * nstruct + [Q(1)] * m
-        core.cost = phase1_cost
-        if not core.set_basis(art):
+        core.cost = [0] * nstruct + [1] * m
+        core.cscale = 1
+        if not core.set_basis(list(range(nstruct, nstruct + m))):
             raise SimplexError("artificial basis rejected")
         status = core.iterate()
-        if status != OPTIMAL or core.objective() != 0:
+        if status != OPTIMAL or core.prices()[core.m] != 0:
             return LPSolution(status=INFEASIBLE, pivots=core.pivots)
         _drive_out_artificials(core, nstruct)
         if any(j >= nstruct for j in core.basis):
-            core2, _ = _drop_redundant_rows(core, nstruct)
-            if core2 is None:
+            core = _drop_redundant_rows(core, nstruct)
+            if core is None:
                 raise SimplexError("could not remove redundant rows")
-            core = core2
-        core.cost = list(cost) + [QZERO] * (len(core.columns) - nstruct)
+        core.cost = cost_int + [0] * (len(core.columns) - nstruct)
+        core.cscale = cscale
         for j in range(nstruct, len(core.columns)):
             core.allowed[j] = False
 
     status = core.iterate()
     if status == UNBOUNDED:
         return LPSolution(status=UNBOUNDED, pivots=core.pivots)
-    x = [QZERO] * nstruct
+    xhat = [0] * nstruct
     for i, j in enumerate(core.basis):
         if j < nstruct:
-            x[j] = core.xb[i]
-    y = core.duals()
-    obj = core.objective()
-    _verify_optimal(core, nstruct, x, y, obj)
-    # duals in the caller's row order and sign convention (unavailable when
-    # redundant rows were eliminated)
+            xhat[j] = core.xhat(i)
+    acc = core.prices()
+    _verify_optimal(core, nstruct, xhat, acc)
+    det = core.det
+    den = det * cscale
+    x = [Q(v, det) if v else QZERO for v in xhat]
+    # duals in the caller's row order, scaling and sign convention
+    # (unavailable when redundant rows were eliminated)
     duals = None
     if core.m == m:
-        duals = [-v if f else v for v, f in zip(y, flip)]
+        duals = [Q(sg * v * s, den) for v, s, sg in zip(acc, rscale, sign)]
     return LPSolution(
         status=OPTIMAL,
-        objective=obj,
+        objective=Q(acc[core.m], den),
         x=x,
         duals=duals,
         basis=tuple(core.basis),
@@ -376,61 +375,66 @@ def _drive_out_artificials(core, nstruct):
     for i in range(core.m):
         if core.basis[i] < nstruct:
             continue
+        row = core.rows[i]
         for j in range(nstruct):
             if core.in_basis[j]:
                 continue
-            entry = sum(
-                (core.binv[i][r] * v for r, v in core.columns[j]), QZERO
-            )
-            if entry != 0:
-                d = [
-                    sum((row[r] * v for r, v in core.columns[j]), QZERO)
-                    for row in core.binv
-                ]
-                core._pivot(j, i, d, core.xb[i] / d[i])
+            if sum(row[r] * v for r, v in core.columns[j]) != 0:
+                core._pivot(j, i, core.direction(j))
                 break
 
 
 def _drop_redundant_rows(core, nstruct):
-    """Remove rows whose artificials cannot leave the basis (dependent rows)."""
+    """Remove rows whose artificials cannot leave the basis (dependent rows).
 
-    bad_rows = sorted(i for i in range(core.m) if core.basis[i] >= nstruct)
-    if any(core.xb[i] != 0 for i in bad_rows):
-        return None, None
+    An artificial stuck in basis position i after _drive_out_artificials
+    has row i of B^-1 A equal to zero, so its own constraint row (not row i)
+    is a combination of the others.  Returns a core over the remaining
+    rows, or None.
+    """
+
+    stuck = [i for i in range(core.m) if core.basis[i] >= nstruct]
+    if any(core.xhat(i) != 0 for i in stuck):
+        return None
+    bad_rows = {core.basis[i] - nstruct for i in stuck}
     keep = [r for r in range(core.m) if r not in bad_rows]
     remap = {r: k for k, r in enumerate(keep)}
     new_cols = [
         [(remap[r], v) for r, v in core.columns[j] if r in remap]
         for j in range(nstruct)
     ]
-    new_b = [core.b[r] for r in keep]
-    m2 = len(keep)
-    new_core = _Core(new_cols, core.cost[:nstruct], new_b, m2)
-    basis = [core.basis[i] for i in range(core.m) if i not in bad_rows]
+    new_core = _Core(
+        new_cols,
+        core.cost[:nstruct],
+        [core.b[r] for r in keep],
+        len(keep),
+        [core.rscale[r] for r in keep],
+    )
+    basis = [j for j in core.basis if j < nstruct]
     if not new_core.set_basis(basis):
-        return None, None
+        return None
     new_core.pivots = core.pivots
-    return new_core, bad_rows
+    return new_core
 
 
-def _verify_optimal(core, nstruct, x, y, obj):
-    """Exact optimality audit: primal feasibility plus strong duality.
+def _verify_optimal(core, nstruct, xhat, acc):
+    """Exact optimality audit in integers: A x^ = D b, x^ >= 0, c.x^ = y^.b.
 
     Dual feasibility (all reduced costs nonnegative) is exactly the
     condition that terminated the final pricing pass.
     """
 
-    ax = [QZERO] * core.m
+    ax = [0] * core.m
     for j in range(nstruct):
-        if x[j] != 0:
+        if xhat[j]:
             for r, v in core.columns[j]:
-                ax[r] = ax[r] + x[j] * v
-    if ax != list(core.b):
+                ax[r] += xhat[j] * v
+    if ax != [core.det * v for v in core.b]:
         raise SimplexError("optimal solution fails the equality rows")
-    if any(v < 0 for v in x):
+    if any(v < 0 for v in xhat):
         raise SimplexError("optimal solution is not nonnegative")
-    ydotb = sum((y[r] * core.b[r] for r in range(core.m)), QZERO)
-    if obj != ydotb:
+    cx = sum(core.cost[j] * v for j, v in enumerate(xhat) if v)
+    if cx != acc[core.m] or cx != sum(y * v for y, v in zip(acc, core.b)):
         raise SimplexError("strong duality check failed")
 
 
@@ -453,7 +457,7 @@ class RationalLP:
         self.rows = []  # (coeffs dict, rel, rhs)
 
     def variable(self, obj=0):
-        self.obj.append(QZERO + obj)
+        self.obj.append(obj)
         return len(self.obj) - 1
 
     def add_eq(self, coeffs, rhs):
@@ -486,18 +490,17 @@ class RationalLP:
         cost = [(-c if self.maximize else c) for c in self.obj]
         b = []
         for r, (coeffs, _, rhs) in enumerate(self.rows):
-            b.append(QZERO + rhs)
+            b.append(rhs)
             for j, v in coeffs.items():
-                v = QZERO + v
                 if v != 0:
                     cols[j].append((r, v))
         for r, (_, rel, _) in enumerate(self.rows):
             if rel == "<=":
-                cols.append([(r, Q(1))])
-                cost.append(QZERO)
+                cols.append([(r, 1)])
+                cost.append(0)
             elif rel == ">=":
-                cols.append([(r, Q(-1))])
-                cost.append(QZERO)
+                cols.append([(r, -1)])
+                cost.append(0)
         sol = solve_standard(cols, cost, b, m, start_basis=start_basis)
         if sol.status == OPTIMAL and self.maximize:
             sol.objective = -sol.objective

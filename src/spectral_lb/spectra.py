@@ -4,9 +4,9 @@ Eigenvalues come from a cyclic Jacobi iteration on the floating image of
 the matrix (graphs here are small and dense, and Jacobi delivers the full
 spectrum with orthonormal eigenvectors from very little code).  Exact
 claims such as "-2 is the smallest eigenvalue" never rest on floating
-point: they are certified with rational elimination (eigenvalue
-membership) plus a rational LDL^T positive-semidefiniteness check of the
-shifted matrix.
+point: they are certified with exact elimination (eigenvalue membership)
+plus an exact LDL^T positive-semidefiniteness check of the shifted
+matrix, both fraction-free over integers.
 """
 
 from __future__ import annotations
@@ -17,7 +17,16 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import Multigraph, SimpleGraph, WeightedGraph
-from .rationals import Q, QZERO, as_q
+from .rationals import (
+    Q,
+    QZERO,
+    as_q,
+    bareiss_step,
+    denom,
+    denominator_lcm,
+    integer_row,
+    numer,
+)
 
 MAX_ORDER = 2048
 _OFF_TOL = 1e-12
@@ -155,25 +164,25 @@ def rational_nullspace(mat) -> list[list]:
 
     Returns a (possibly empty) list of rational vectors; the basis vectors
     carry a 1 in their free coordinate, so the result is deterministic.
+    Rows are scaled to integers and reduced by fraction-free Gauss-Jordan
+    (one bareiss_step per pivot), which leaves every pivot entry equal to
+    the last pivot p, so the reduced row echelon form is the result over p.
     """
 
-    a = _q_matrix(mat)
+    a = [integer_row(row)[0] for row in mat]
     if not a:
         return []
     nrows, ncols = len(a), len(a[0])
     pivot_of_col: dict[int, int] = {}
     r = 0
+    prev = 1
     for c in range(ncols):
         pr = next((i for i in range(r, nrows) if a[i][c] != 0), None)
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        bareiss_step(a, r, [row[c] for row in a], prev)
+        prev = a[r][c]
         pivot_of_col[c] = r
         r += 1
         if r == nrows:
@@ -184,7 +193,7 @@ def rational_nullspace(mat) -> list[list]:
         vec = [QZERO] * ncols
         vec[fc] = Q(1)
         for c, pr in pivot_of_col.items():
-            vec[c] = -a[pr][fc]
+            vec[c] = Q(-a[pr][fc], prev)
         basis.append(vec)
     return basis
 
@@ -217,7 +226,10 @@ def psd_check_exact(mat) -> bool:
 
     At each step the largest remaining diagonal entry is pivoted; a
     negative diagonal entry, or a zero diagonal with a nonzero residual
-    row, certifies an indefinite matrix.
+    row, certifies an indefinite matrix.  The matrix is scaled to integers
+    and eliminated fraction-free (bareiss_step), so the remaining block is
+    the rational Schur complement times the last pivot, which is a positive
+    principal minor: every sign and every ordering is the rational one.
     """
 
     a = _q_matrix(mat)
@@ -228,7 +240,10 @@ def psd_check_exact(mat) -> bool:
         for j in range(i + 1, n):
             if row[j] != a[j][i]:
                 raise ValueError("matrix is not symmetric")
+    s = denominator_lcm(x for row in a for x in row)
+    a = [[numer(x) * (s // denom(x)) for x in row] for row in a]
     active = list(range(n))
+    prev = 1
     while active:
         piv = max(active, key=lambda i: a[i][i])
         if a[piv][piv] < 0:
@@ -242,14 +257,9 @@ def psd_check_exact(mat) -> bool:
                     if a[i][j] != 0:
                         return False
             return True
-        d = a[piv][piv]
         active.remove(piv)
-        for i in active:
-            f = a[i][piv] / d
-            if f == 0:
-                continue
-            for j in active:
-                a[i][j] = a[i][j] - f * a[piv][j]
+        bareiss_step(a, piv, [row[piv] for row in a], prev, targets=active)
+        prev = a[piv][piv]
     return True
 
 

@@ -120,3 +120,56 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code, out, _ = run(capsys, "spectrum", "-")
     assert code == 0 and out.strip().splitlines()[-1].startswith("+3.0")
+
+
+def _pipe(capsys, monkeypatch, producer, consumer):
+    import io
+
+    code, out, _ = run(capsys, *producer)
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    return run(capsys, *consumer)
+
+
+def test_bounds_above_clique_cap_skips_hoffman(capsys, monkeypatch):
+    code, out, _ = _pipe(
+        capsys, monkeypatch, ("catalog", "get", "circulant", "30", "2"), ("bounds", "-")
+    )
+    assert code == 0
+    assert "hoffman" in out and "skipped [n = 30 exceeds the cap n <= 24]" in out
+
+
+def test_bounds_lp_above_clique_cap_skips_lambda_star_k(capsys, monkeypatch):
+    code, out, _ = _pipe(
+        capsys, monkeypatch, ("catalog", "get", "path", "30"), ("bounds", "-", "--lp", "--json")
+    )
+    assert code == 0
+    doc = json.loads(out)
+    skipped = {s["name"]: s["reason"] for s in doc["skipped"]}
+    assert skipped["lambda_star_K"] == "n = 30 exceeds the cap n <= 24"
+    assert "lambda_star_C" in skipped
+    assert all(b["name"] != "lambda_star_K" for b in doc["bounds"])
+
+
+def test_bounds_below_cap_reports_no_skips(capsys, monkeypatch):
+    code, out, _ = _pipe(
+        capsys, monkeypatch, ("catalog", "get", "petersen"), ("bounds", "-", "--json")
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["skipped"] == []
+    assert {b["name"] for b in doc["bounds"]} >= {"hoffman", "chromatic", "lovasz_chromatic"}
+
+
+def test_reproduce_filter_prints_exactly_the_matching_rows(tmp_path, capsys):
+    from spectral_lb.reproduce import build_rows, format_table
+
+    full = tmp_path / "full.json"
+    part = tmp_path / "part.json"
+    assert run(capsys, "reproduce", "--json", str(full))[0] == 0
+    code, out, _ = run(capsys, "reproduce", "--filter", "five-cycle", "--json", str(part))
+    assert code == 0
+    rows = [r for r in json.loads(full.read_text())["rows"] if r["example"] == "five-cycle"]
+    assert rows and json.loads(part.read_text())["rows"] == rows
+    expected = [r for r in build_rows() if r.example == "five-cycle"]
+    assert out == format_table(expected) + "\n"

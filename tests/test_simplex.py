@@ -135,3 +135,164 @@ def test_pivot_limit_guard():
     lp.add_ge({x: Q(1)}, 1)
     sol = lp.solve()
     assert sol.pivots < 50
+
+
+# ---------------------------------------------------------------------------
+# differential and kernel tests
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from spectral_lb.simplex import _invert
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_coef = st.one_of(st.just(Fraction(0)), _small)
+
+
+@st.composite
+def _random_lp(draw):
+    nv = draw(st.integers(1, 4))
+    nr = draw(st.integers(1, 4))
+    cost = draw(st.lists(_small, min_size=nv, max_size=nv))
+    rows = []
+    for _ in range(nr):
+        coeffs = draw(st.lists(_coef, min_size=nv, max_size=nv))
+        rel = draw(st.sampled_from(["=", "<=", ">="]))
+        rows.append((coeffs, rel, draw(_small)))
+    if draw(st.booleans()):
+        # a scaled copy of the first row makes the system rank deficient
+        k = draw(st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3))
+        coeffs, rel, rhs = rows[0]
+        rows.append(([c * k for c in coeffs], rel, rhs * k))
+    return cost, rows, draw(st.booleans())
+
+
+def _build(cost, rows, maximize):
+    lp = RationalLP(maximize=maximize)
+    xs = [lp.variable(obj=c) for c in cost]
+    add = {"=": lp.add_eq, "<=": lp.add_le, ">=": lp.add_ge}
+    for coeffs, rel, rhs in rows:
+        add[rel]({x: c for x, c in zip(xs, coeffs)}, rhs)
+    return lp
+
+
+def _highs(cost, rows, maximize):
+    from scipy.optimize import linprog
+
+    c = [float(-v if maximize else v) for v in cost]
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for coeffs, rel, rhs in rows:
+        row = [float(v) for v in coeffs]
+        if rel == "=":
+            a_eq.append(row)
+            b_eq.append(float(rhs))
+        elif rel == "<=":
+            a_ub.append(row)
+            b_ub.append(float(rhs))
+        else:
+            a_ub.append([-v for v in row])
+            b_ub.append(-float(rhs))
+    return linprog(
+        c,
+        A_ub=a_ub or None,
+        b_ub=b_ub or None,
+        A_eq=a_eq or None,
+        b_eq=b_eq or None,
+        bounds=(0, None),
+        method="highs",
+    )
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_random_lp())
+def test_differential_against_highs(lp_spec):
+    cost, rows, maximize = lp_spec
+    sol = _build(cost, rows, maximize).solve()
+    ref = _highs(cost, rows, maximize)
+    expected = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[ref.status]
+    assert sol.status == expected
+    if sol.status != OPTIMAL:
+        return
+    assert float(sol.objective) == pytest.approx(
+        -ref.fun if maximize else ref.fun, abs=1e-7
+    )
+    # the exact optimum is feasible in the caller's rows and attains it
+    for coeffs, rel, rhs in rows:
+        lhs = sum((c * v for c, v in zip(coeffs, sol.x)), Fraction(0))
+        assert {"=": lhs == rhs, "<=": lhs <= rhs, ">=": lhs >= rhs}[rel]
+    assert all(v >= 0 for v in sol.x)
+    assert sol.objective == sum((c * v for c, v in zip(cost, sol.x)), Fraction(0))
+    if sol.duals is None:
+        return
+    # duals (minimisation convention) are dual feasible and close the gap
+    # in the caller's row scaling
+    sign = -1 if maximize else 1
+    y = sol.duals
+    assert sign * sol.objective == sum((d * rhs for d, (_, _, rhs) in zip(y, rows)), Fraction(0))
+    for j, c in enumerate(cost):
+        col = sum((d * coeffs[j] for d, (coeffs, _, _) in zip(y, rows)), Fraction(0))
+        assert sign * c - col >= 0
+    for d, (_, rel, _) in zip(y, rows):
+        assert {"=": True, "<=": d <= 0, ">=": d >= 0}[rel]
+
+
+def test_redundant_row_removed_by_its_own_index():
+    # the artificial of a dependent row can stay basic in another basis
+    # position; the dependent row, not the position's row, must be dropped
+    lp = RationalLP(maximize=True)
+    x0 = lp.variable(obj=Q(2, 3))
+    x1 = lp.variable(obj=0)
+    x2 = lp.variable(obj=Q(-5, 4))
+    lp.add_le({x1: -1, x2: Q(1, 3)}, 0)
+    lp.add_eq({x1: 3, x2: 3}, 0)
+    lp.add_eq({x1: -2, x2: Q(-5, 2)}, 0)
+    lp.add_eq({x0: Q(-2, 3), x1: -1, x2: -2}, 0)
+    lp.add_le({x1: 3, x2: Q(7, 5)}, 0)
+    lp.add_eq({x1: 2, x2: 2}, 0)
+    lp.add_le({x1: Q(-3, 2), x2: Q(1, 2)}, 0)
+    sol = lp.solve()
+    assert sol.status == OPTIMAL and sol.objective == 0
+
+
+def _fraction_det(mat):
+    a = [[Fraction(v) for v in row] for row in mat]
+    n, det = len(a), Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, n):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda m: st.lists(
+            st.lists(st.integers(-4, 4), min_size=m, max_size=m), min_size=m, max_size=m
+        )
+    )
+)
+def test_invert_gives_adjugate_over_det(mat):
+    m = len(mat)
+    columns = [[(r, mat[r][j]) for r in range(m) if mat[r][j]] for j in range(m)]
+    det = _fraction_det(mat)
+    inv = _invert(columns, list(range(m)), m)
+    if det == 0:
+        assert inv is None
+        return
+    adj, d = inv
+    assert d == abs(det)
+    for i in range(m):
+        for k in range(m):
+            entry = sum(adj[i][r] * mat[r][k] for r in range(m))
+            assert entry == (d if i == k else 0)

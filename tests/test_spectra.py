@@ -192,3 +192,96 @@ def test_exact_rational_noninteger_eigenvalue():
     # weighted matrix with smallest eigenvalue -3/2
     mat = [[Q(-3, 2), 0], [0, Q(5)]]
     assert lambda_min_exact(mat) == Q(-3, 2)
+
+
+# ---------------------------------------------------------------------------
+# fraction-free kernels against a plain Fraction reference
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spectral_lb.spectra import psd_check_exact, rational_nullspace
+
+
+def _reference_nullspace(mat):
+    a = [[Fraction(x) for x in row] for row in mat]
+    nrows, ncols = len(a), len(a[0])
+    pivot_of_col, r = {}, 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivot_of_col[c] = r
+        r += 1
+        if r == nrows:
+            break
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivot_of_col):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for c, pr in pivot_of_col.items():
+            vec[c] = -a[pr][fc]
+        basis.append(vec)
+    return basis
+
+
+def _reference_psd(mat):
+    a = [[Fraction(x) for x in row] for row in mat]
+    active = list(range(len(a)))
+    while active:
+        piv = max(active, key=lambda i: a[i][i])
+        d = a[piv][piv]
+        if d < 0:
+            return False
+        if d == 0:
+            return all(a[i][j] == 0 for i in active for j in active)
+        active.remove(piv)
+        for i in active:
+            f = a[i][piv] / d
+            for j in active:
+                a[i][j] -= f * a[piv][j]
+    return True
+
+
+_entry = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=5)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda c: st.lists(st.lists(_entry, min_size=c, max_size=c), min_size=1, max_size=5)
+    ),
+    st.booleans(),
+)
+def test_nullspace_matches_fraction_reference(mat, duplicate):
+    if duplicate:
+        mat = mat + [[2 * x for x in mat[0]]]
+    assert rational_nullspace(mat) == _reference_nullspace(mat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(_entry, min_size=n, max_size=n), min_size=1, max_size=5)
+    ),
+    _entry,
+)
+def test_psd_check_matches_fraction_reference(g, shift):
+    # Gram matrices are PSD; a diagonal shift makes many of them indefinite
+    n = len(g[0])
+    mat = [
+        [sum((Fraction(r[i]) * r[j] for r in g), Fraction(0)) - (shift if i == j else 0)
+         for j in range(n)]
+        for i in range(n)
+    ]
+    assert psd_check_exact(mat) == _reference_psd(mat)
