@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+from .decomp import CliquePartition
 from .graphs import (
     SimpleGraph,
     build_simple,
@@ -164,6 +165,40 @@ def kneser(v: int, k: int) -> SimpleGraph:
         if not sets[i] & sets[j]
     ]
     return build_simple(len(verts), edges)
+
+
+def johnson_partition(v: int, k: int) -> CliquePartition:
+    """Clique partition of J(v, k) with mu = 1, one clique per (k-1)-subset.
+
+    The clique of a (k-1)-subset S is the k-subsets containing S, so each
+    edge {S + x, S + y} lies in exactly one clique and each vertex in k.
+    """
+
+    index = {frozenset(s): i for i, s in enumerate(colex_subsets(v, k))}
+    cliques = []
+    for c in combinations(range(v), k - 1):
+        base = frozenset(c)
+        cliques.append(tuple(index[base | {x}] for x in range(v) if x not in base))
+    return CliquePartition(1, tuple(cliques))
+
+
+def kneser_partition(k: int) -> CliquePartition:
+    """Clique partition of Kn(3k, k) with mu = 1 into triangles.
+
+    The triangles are the splits of {0..3k-1} into three k-subsets: the
+    complement of two disjoint k-subsets closes their edge's one triangle.
+    """
+
+    v = 3 * k
+    index = {frozenset(s): i for i, s in enumerate(colex_subsets(v, k))}
+    cliques = []
+    for a in combinations(range(v), k):
+        rest = [x for x in range(v) if x not in a]
+        for b in combinations(rest, k):
+            c = tuple(x for x in rest if x not in b)
+            if a < b < c:
+                cliques.append(tuple(index[frozenset(s)] for s in (a, b, c)))
+    return CliquePartition(1, tuple(cliques))
 
 
 def hamming(orders) -> SimpleGraph:

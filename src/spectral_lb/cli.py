@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import catalog as cat
@@ -30,14 +29,6 @@ from .spectra import spectrum, verified_integer_eigenvalues
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
-
-
-def _threads() -> int:
-    raw = os.environ.get("SPECTRAL_LB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _read_graph(path: str):
@@ -151,7 +142,7 @@ def _cmd_lambda_star_c(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     perturb = "petersen" if args.negative_control else None
-    rows = build_rows(perturb=perturb, threads=_threads(), select=args.filter)
+    rows = build_rows(perturb=perturb, select=args.filter)
     if not rows:
         print(f"no rows match filter {args.filter!r}", file=sys.stderr)
         return EXIT_INPUT

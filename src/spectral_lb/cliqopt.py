@@ -22,7 +22,7 @@ from .decomp import (
     complete_decomposition_bound,
     complete_piece,
 )
-from .graphs import SimpleGraph, as_weighted, scale
+from .graphs import SimpleGraph, as_weighted, bit_indices, scale
 from .rationals import Q, QZERO, denominator_lcm
 from .simplex import OPTIMAL, RationalLP, SimplexError
 
@@ -33,13 +33,6 @@ MAX_COLOR_ORDER = 18
 
 # ---------------------------------------------------------------------------
 # clique enumeration
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def maximal_cliques(g: SimpleGraph) -> list[int]:
@@ -53,8 +46,8 @@ def maximal_cliques(g: SimpleGraph) -> list[int]:
             out.append(r)
             return
         pool = p | x
-        pivot = max(_bits(pool), key=lambda v: (p & rows[v]).bit_count())
-        for v in _bits(p & ~rows[pivot]):
+        pivot = max(bit_indices(pool), key=lambda v: (p & rows[v]).bit_count())
+        for v in bit_indices(p & ~rows[pivot]):
             bit = 1 << v
             bk(r | bit, p & rows[v], x & rows[v])
             p &= ~bit
@@ -71,7 +64,7 @@ def enumerate_cliques(g: SimpleGraph, min_size: int = 2) -> list[tuple[int, ...]
         raise ValueError(f"clique enumeration capped at n <= {MAX_CLIQUE_ORDER}")
     seen = set()
     for mask in maximal_cliques(g):
-        members = tuple(_bits(mask))
+        members = tuple(bit_indices(mask))
         for size in range(min_size, len(members) + 1):
             for sub in combinations(members, size):
                 seen.add(sub)
@@ -94,7 +87,7 @@ def clique_number(g: SimpleGraph) -> int:
 
     def colour_bound(p: int) -> int:
         colours = []
-        for v in _bits(p):
+        for v in bit_indices(p):
             for cls in colours:
                 if not (rows[v] & cls[0]):
                     cls[0] |= 1 << v
@@ -110,7 +103,7 @@ def clique_number(g: SimpleGraph) -> int:
             return
         if r_size + colour_bound(p) <= best:
             return
-        v = max(_bits(p))
+        v = max(bit_indices(p))
         expand(r_size + 1, p & rows[v])
         expand(r_size, p & ~(1 << v))
 
@@ -138,7 +131,7 @@ def chromatic_number(g: SimpleGraph) -> int:
         order = sorted(range(n), key=lambda u: -rows[u].bit_count())
         cols = {}
         for u in order:
-            used = {cols[v] for v in _bits(rows[u]) if v in cols}
+            used = {cols[v] for v in bit_indices(rows[u]) if v in cols}
             c = 0
             while c in used:
                 c += 1
@@ -159,12 +152,12 @@ def chromatic_number(g: SimpleGraph) -> int:
         for u in range(n):
             if colour[u] >= 0:
                 continue
-            sat = len({colour[v] for v in _bits(rows[u]) if colour[v] >= 0})
+            sat = len({colour[v] for v in bit_indices(rows[u]) if colour[v] >= 0})
             key = (sat, rows[u].bit_count())
             if key > sat_best:
                 sat_best = key
                 cand = u
-        forbidden = {colour[v] for v in _bits(rows[cand]) if colour[v] >= 0}
+        forbidden = {colour[v] for v in bit_indices(rows[cand]) if colour[v] >= 0}
         for c in range(min(used + 1, best - 1)):
             if c in forbidden:
                 continue

@@ -53,7 +53,7 @@ class SimpleGraph:
         return None if degs else 0
 
     def neighbors(self, u: int):
-        return _bits(self.rows[u])
+        return bit_indices(self.rows[u])
 
     def edges(self) -> list[tuple[int, int]]:
         out = []
@@ -89,7 +89,9 @@ class SimpleGraph:
         return build_simple(len(verts), edges)
 
 
-def _bits(mask: int):
+def bit_indices(mask: int):
+    """Indices of the set bits of mask, ascending."""
+
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

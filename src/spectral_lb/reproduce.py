@@ -134,15 +134,12 @@ def _petersen(perturb):
     return g
 
 
-def build_rows(
-    perturb: str | None = None, threads: int = 1, select: str | None = None
-) -> list[ReproRow]:
+def build_rows(perturb: str | None = None, select: str | None = None) -> list[ReproRow]:
     """Recompute every table row; perturb='petersen' flips the negative control.
 
-    Row groups are independent; select keeps only the groups whose example
-    id contains it (every row of a group carries the group's id), and
-    threads > 1 runs them on a thread pool with the output reassembled in
-    canonical order.
+    Row groups are independent and run in canonical order; select keeps
+    only the groups whose example id contains it (every row of a group
+    carries the group's id).
     """
 
     groups = [
@@ -173,23 +170,12 @@ def build_rows(
     if select:
         groups = [g for g in groups if select in g[0]]
 
-    def run(group):
-        example, builder = group
-        try:
-            return builder()
-        except Exception as exc:  # pragma: no cover - defensive surface
-            return [_error_row(example, "construction", exc)]
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(run, groups))
-    else:
-        chunks = [run(g) for g in groups]
     rows: list[ReproRow] = []
-    for chunk in chunks:
-        rows.extend(chunk)
+    for example, builder in groups:
+        try:
+            rows.extend(builder())
+        except Exception as exc:  # pragma: no cover - defensive surface
+            rows.append(_error_row(example, "construction", exc))
     return rows
 
 
@@ -395,7 +381,7 @@ def _rows_johnson():
         g = catalog.johnson(v, k)
         lam = lambda_min(g)
         rows.append(_row(e, f"lambda(J({v},{k})) = -{k}", float(-k), lam, tol=1e-8, provenance="eigensolver"))
-        part = _johnson_partition(v, k)
+        part = catalog.johnson_partition(v, k)
         r_u, r, _ = clique_partition_stats(part, g)
         rows.append(_row(e, f"J({v},{k}) r_u = k", Q(k), Q(r), provenance="counting"))
         cert = clique_equality_certificate(part, g)
@@ -406,45 +392,11 @@ def _rows_johnson():
     return rows
 
 
-def _johnson_partition(v, k):
-    verts = catalog.colex_subsets(v, k)
-    index = {frozenset(s): i for i, s in enumerate(verts)}
-    from itertools import combinations
-
-    cliques = []
-    for c in combinations(range(v), k - 1):
-        base = frozenset(c)
-        members = sorted(
-            index[base | {x}] for x in range(v) if x not in base
-        )
-        cliques.append(tuple(members))
-    return CliquePartition(1, tuple(cliques))
-
-
-def _kneser_partition():
-    verts = catalog.colex_subsets(6, 2)
-    index = {frozenset(s): i for i, s in enumerate(verts)}
-    from itertools import combinations
-
-    cliques = []
-    seen = set()
-    for a in combinations(range(6), 2):
-        rest = [x for x in range(6) if x not in a]
-        for b_raw in combinations(rest, 2):
-            c_raw = tuple(x for x in rest if x not in b_raw)
-            key = tuple(sorted((a, tuple(b_raw), c_raw)))
-            if key in seen:
-                continue
-            seen.add(key)
-            cliques.append(tuple(sorted(index[frozenset(s)] for s in key)))
-    return CliquePartition(1, tuple(cliques))
-
-
 def _rows_kneser():
     e = "kneser"
     g = catalog.kneser(6, 2)
     rows = [_row(e, "lambda(Kn(6,2))", -3.0, lambda_min(g), tol=1e-8, provenance="eigensolver")]
-    part = _kneser_partition()
+    part = catalog.kneser_partition(2)
     r_u, r, _ = clique_partition_stats(part, g)
     rows.append(_row(e, "mu = 1", Q(1), Q(part.mu), provenance="counting"))
     rows.append(_row(e, "r_u = 3", Q(3), Q(r), provenance="counting"))

@@ -316,6 +316,7 @@ def solve_standard(columns, cost, b, m, start_basis=None):
     nstruct = len(int_cols)
     core = _Core(int_cols, cost_int, b_int, m, rscale, cscale)
 
+    kept = range(m)  # the caller's row behind each row of core
     started = False
     if start_basis is not None:
         started = core.set_basis(list(start_basis))
@@ -334,9 +335,10 @@ def solve_standard(columns, cost, b, m, start_basis=None):
             return LPSolution(status=INFEASIBLE, pivots=core.pivots)
         _drive_out_artificials(core, nstruct)
         if any(j >= nstruct for j in core.basis):
-            core = _drop_redundant_rows(core, nstruct)
-            if core is None:
+            dropped = _drop_redundant_rows(core, nstruct)
+            if dropped is None:
                 raise SimplexError("could not remove redundant rows")
+            core, kept = dropped
         core.cost = cost_int + [0] * (len(core.columns) - nstruct)
         core.cscale = cscale
         for j in range(nstruct, len(core.columns)):
@@ -354,11 +356,11 @@ def solve_standard(columns, cost, b, m, start_basis=None):
     det = core.det
     den = det * cscale
     x = [Q(v, det) if v else QZERO for v in xhat]
-    # duals in the caller's row order, scaling and sign convention
-    # (unavailable when redundant rows were eliminated)
-    duals = None
-    if core.m == m:
-        duals = [Q(sg * v * s, den) for v, s, sg in zip(acc, rscale, sign)]
+    # duals in the caller's row order, scaling and sign convention; a
+    # dropped row is a combination of the kept ones, so its dual is 0
+    duals = [QZERO] * m
+    for v, r in zip(acc, kept):
+        duals[r] = Q(sign[r] * v * rscale[r], den)
     return LPSolution(
         status=OPTIMAL,
         objective=Q(acc[core.m], den),
@@ -390,7 +392,7 @@ def _drop_redundant_rows(core, nstruct):
     An artificial stuck in basis position i after _drive_out_artificials
     has row i of B^-1 A equal to zero, so its own constraint row (not row i)
     is a combination of the others.  Returns a core over the remaining
-    rows, or None.
+    rows with the indices of those rows, or None.
     """
 
     stuck = [i for i in range(core.m) if core.basis[i] >= nstruct]
@@ -414,7 +416,7 @@ def _drop_redundant_rows(core, nstruct):
     if not new_core.set_basis(basis):
         return None
     new_core.pivots = core.pivots
-    return new_core
+    return new_core, keep
 
 
 def _verify_optimal(core, nstruct, xhat, acc):

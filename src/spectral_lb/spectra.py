@@ -1,12 +1,12 @@
-"""Dense symmetric eigensolver and exact rational certificate machinery.
+"""Symmetric eigenvalues by LAPACK and exact rational certificate machinery.
 
-Eigenvalues come from a cyclic Jacobi iteration on the floating image of
-the matrix (graphs here are small and dense, and Jacobi delivers the full
-spectrum with orthonormal eigenvectors from very little code).  Exact
-claims such as "-2 is the smallest eigenvalue" never rest on floating
-point: they are certified with exact elimination (eigenvalue membership)
-plus an exact LDL^T positive-semidefiniteness check of the shifted
-matrix, both fraction-free over integers.
+Eigenvalues come from LAPACK (numpy.linalg.eigh) on the floating image
+of the matrix, which delivers the full spectrum with orthonormal
+eigenvectors; they serve as hints and displayed values.  Exact claims
+such as "-2 is the smallest eigenvalue" never rest on floating point:
+they are certified with exact elimination (eigenvalue membership) plus
+an exact LDL^T positive-semidefiniteness check of the shifted matrix,
+both fraction-free over integers.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from .rationals import (
 )
 
 MAX_ORDER = 2048
-_OFF_TOL = 1e-12
-_SWEEP_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -54,77 +52,20 @@ class Spectrum:
         return float(self.values[-1])
 
 
-def _to_float_matrix(a) -> np.ndarray:
-    if isinstance(a, np.ndarray) and a.dtype == float:
-        return a.copy()
-    rows = list(a)
-    n = len(rows)
-    out = np.zeros((n, n))
-    for i, row in enumerate(rows):
-        row = list(row)
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-        for j, x in enumerate(row):
-            out[i, j] = float(x)
-    return out
-
-
-def jacobi_eigh(a: np.ndarray):
-    """Cyclic Jacobi diagonalisation of a symmetric float matrix.
-
-    Sweeps rotate away every off-diagonal pair until the off-diagonal
-    Frobenius norm drops below 1e-12 of the matrix norm.  Returns
-    (eigenvalues ascending, eigenvector columns).
-    """
-
-    a = a.copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    if n <= 1:
-        return np.diag(a).copy(), v
-    norm = np.linalg.norm(a)
-    if norm == 0:
-        return np.zeros(n), v
-    for _ in range(_SWEEP_CAP):
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off <= _OFF_TOL * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    values = np.diag(a).copy()
-    order = np.argsort(values, kind="stable")
-    return values[order], v[:, order]
-
-
 def spectrum(a) -> Spectrum:
     """Full spectrum of a symmetric matrix (rational entries or floats)."""
 
-    af = _to_float_matrix(a)
+    af = np.array(a, dtype=float)
+    if af.shape == (0,):  # [] is the 0 x 0 matrix
+        af = af.reshape(0, 0)
+    if af.ndim != 2 or af.shape[0] != af.shape[1]:
+        raise ValueError("matrix must be square")
     n = af.shape[0]
     if n > MAX_ORDER:
         raise ValueError(f"matrix order {n} exceeds the supported cap {MAX_ORDER}")
     if not np.array_equal(af, af.T):
         raise ValueError("matrix is not symmetric")
-    values, vectors = jacobi_eigh(af)
+    values, vectors = np.linalg.eigh(af)
     resid = 0.0
     if n:
         resid = float(np.max(np.abs(af @ vectors - vectors * values[None, :])))

@@ -26,12 +26,13 @@ from spectral_lb.catalog import (
     catalog_corpus,
     circulant,
     circulant_spectrum,
-    colex_subsets,
     cycle,
     dodecahedron,
     icosahedron,
     johnson,
+    johnson_partition,
     kneser,
+    kneser_partition,
     octahedron,
     petersen,
     shrikhande,
@@ -237,43 +238,17 @@ def test_criterion_6_johnson_kneser():
         assert spec.values[0] == pytest.approx(-k, abs=1e-8)
         dim = sum(1 for x in spec.values if abs(x + k) < 1e-7)
         assert dim == math.comb(v, k) - math.comb(v, k - 1)
-        part = _johnson_partition(v, k)
+        part = johnson_partition(v, k)
         r_u, r, _ = clique_partition_stats(part, g)
         assert all(x == k for x in r_u)
         assert clique_equality_certificate(part, g) is not None
     g = kneser(6, 2)
     assert lambda_min(g) == pytest.approx(-3, abs=1e-8)
-    part = _kneser_partition()
+    part = kneser_partition(2)
     r_u, r, _ = clique_partition_stats(part, g)
     assert part.mu == 1 and r == 3 and all(x == 3 for x in r_u)
     assert clique_equality_certificate(part, g) is not None
     _report(6, "johnson (5,2),(6,2),(6,3) and kneser (6,2) with certificates")
-
-
-def _johnson_partition(v, k):
-    verts = colex_subsets(v, k)
-    index = {frozenset(s): i for i, s in enumerate(verts)}
-    cliques = []
-    for c in combinations(range(v), k - 1):
-        base = frozenset(c)
-        cliques.append(tuple(sorted(index[base | {x}] for x in range(v) if x not in base)))
-    return CliquePartition(1, tuple(cliques))
-
-
-def _kneser_partition():
-    verts = colex_subsets(6, 2)
-    index = {frozenset(s): i for i, s in enumerate(verts)}
-    cliques = []
-    seen = set()
-    for a in combinations(range(6), 2):
-        rest = [x for x in range(6) if x not in a]
-        for b_raw in combinations(rest, 2):
-            c_raw = tuple(x for x in rest if x not in b_raw)
-            key = tuple(sorted((a, tuple(b_raw), c_raw)))
-            if key not in seen:
-                seen.add(key)
-                cliques.append(tuple(sorted(index[frozenset(s)] for s in key)))
-    return CliquePartition(1, tuple(cliques))
 
 
 def test_criterion_7_essential_vertices():

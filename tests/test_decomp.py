@@ -14,9 +14,11 @@ from spectral_lb.catalog import (
     DODECAHEDRON_FACES,
     icosahedron,
     johnson,
+    johnson_partition,
+    kneser,
+    kneser_partition,
     octahedron,
     petersen,
-    colex_subsets,
 )
 from spectral_lb.decomp import (
     CliquePartition,
@@ -357,20 +359,20 @@ def test_triangle_free_equality_iff_regular_bipartite():
 def test_johnson_clique_partition():
     for v, k in ((5, 2), (6, 2), (6, 3)):
         g = johnson(v, k)
-        part = _johnson_partition(v, k)
+        part = johnson_partition(v, k)
         r_u, r, _ = clique_partition_stats(part, g)
         assert all(x == k for x in r_u)
         assert clique_equality_certificate(part, g) is not None
 
 
-def _johnson_partition(v, k):
-    verts = colex_subsets(v, k)
-    index = {frozenset(s): i for i, s in enumerate(verts)}
-    cliques = []
-    for c in combinations(range(v), k - 1):
-        base = frozenset(c)
-        cliques.append(tuple(sorted(index[base | {x}] for x in range(v) if x not in base)))
-    return CliquePartition(1, tuple(cliques))
+def test_kneser_clique_partition():
+    # triangles of Kn(3k, k): each vertex lies in C(2k-1, k-1) = -lambda_min
+    for k in (2, 3):
+        g = kneser(3 * k, k)
+        part = kneser_partition(k)
+        r_u, r, c_min = clique_partition_stats(part, g)
+        assert c_min == 3 and all(x == math.comb(2 * k - 1, k - 1) for x in r_u)
+        assert lambda_min(g) == pytest.approx(-r, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +392,7 @@ def test_essential_c4_plus_triangle():
 
 def test_essential_fixed_point_at_start():
     g = johnson(5, 2)
-    part = _johnson_partition(5, 2)
+    part = johnson_partition(5, 2)
     red = essential_vertices(part, g)
     assert red.vstar == tuple(range(10))
 

@@ -225,12 +225,15 @@ def test_differential_against_highs(lp_spec):
         assert {"=": lhs == rhs, "<=": lhs <= rhs, ">=": lhs >= rhs}[rel]
     assert all(v >= 0 for v in sol.x)
     assert sol.objective == sum((c * v for c, v in zip(cost, sol.x)), Fraction(0))
-    if sol.duals is None:
-        return
+    _assert_dual_certificate(sol, cost, rows, maximize)
+
+
+def _assert_dual_certificate(sol, cost, rows, maximize):
     # duals (minimisation convention) are dual feasible and close the gap
     # in the caller's row scaling
     sign = -1 if maximize else 1
     y = sol.duals
+    assert y is not None and len(y) == len(rows)
     assert sign * sol.objective == sum((d * rhs for d, (_, _, rhs) in zip(y, rows)), Fraction(0))
     for j, c in enumerate(cost):
         col = sum((d * coeffs[j] for d, (coeffs, _, _) in zip(y, rows)), Fraction(0))
@@ -242,19 +245,19 @@ def test_differential_against_highs(lp_spec):
 def test_redundant_row_removed_by_its_own_index():
     # the artificial of a dependent row can stay basic in another basis
     # position; the dependent row, not the position's row, must be dropped
-    lp = RationalLP(maximize=True)
-    x0 = lp.variable(obj=Q(2, 3))
-    x1 = lp.variable(obj=0)
-    x2 = lp.variable(obj=Q(-5, 4))
-    lp.add_le({x1: -1, x2: Q(1, 3)}, 0)
-    lp.add_eq({x1: 3, x2: 3}, 0)
-    lp.add_eq({x1: -2, x2: Q(-5, 2)}, 0)
-    lp.add_eq({x0: Q(-2, 3), x1: -1, x2: -2}, 0)
-    lp.add_le({x1: 3, x2: Q(7, 5)}, 0)
-    lp.add_eq({x1: 2, x2: 2}, 0)
-    lp.add_le({x1: Q(-3, 2), x2: Q(1, 2)}, 0)
-    sol = lp.solve()
+    cost = [Q(2, 3), 0, Q(-5, 4)]
+    rows = [
+        ([0, -1, Q(1, 3)], "<=", 0),
+        ([0, 3, 3], "=", 0),
+        ([0, -2, Q(-5, 2)], "=", 0),
+        ([Q(-2, 3), -1, -2], "=", 0),
+        ([0, 3, Q(7, 5)], "<=", 0),
+        ([0, 2, 2], "=", 0),
+        ([0, Q(-3, 2), Q(1, 2)], "<=", 0),
+    ]
+    sol = _build(cost, rows, True).solve()
     assert sol.status == OPTIMAL and sol.objective == 0
+    _assert_dual_certificate(sol, cost, rows, True)
 
 
 def _fraction_det(mat):

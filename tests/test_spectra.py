@@ -5,10 +5,13 @@ import pytest
 
 from corpus import random_connected_graph
 from spectral_lb.catalog import (
+    circulant,
+    circulant_spectrum,
     complete_multipartite,
     cycle,
     dodecahedron,
     icosahedron,
+    johnson,
     petersen,
 )
 from spectral_lb.graphs import bipartition, power_multigraph, build_simple
@@ -108,6 +111,54 @@ def test_odd_power_eigenvalue_law(rng):
 def test_spectrum_rejects_asymmetric():
     with pytest.raises(ValueError):
         spectrum([[0, 1], [0, 0]])
+
+
+@pytest.mark.parametrize("a", [[[0, 1, 0], [1, 0, 1]], [[0, 1], [1]], [1, 2], np.zeros((2, 3))])
+def test_spectrum_rejects_non_square(a):
+    with pytest.raises(ValueError):
+        spectrum(a)
+
+
+def test_spectrum_order_guard(monkeypatch):
+    import spectral_lb.spectra as spectra
+
+    monkeypatch.setattr(spectra, "MAX_ORDER", 3)
+    with pytest.raises(ValueError, match="exceeds"):
+        spectra.spectrum(np.zeros((4, 4)))
+
+
+@pytest.mark.parametrize("a", [[], np.zeros((0, 0))])
+def test_spectrum_of_empty_matrix(a):
+    s = spectrum(a)
+    assert s.values.shape == (0,) and s.vectors.shape == (0, 0) and s.residual == 0.0
+
+
+def test_spectrum_one_by_one():
+    s = spectrum([[Q(-3, 2)]])
+    assert s.values.tolist() == [-1.5] and abs(s.vectors[0, 0]) == 1.0
+    assert s.residual == 0.0
+
+
+def test_rational_and_object_entries_match_float():
+    mat = [[Q(1, 2), Q(-1, 3), 0], [Q(-1, 3), 2, Q(5, 4)], [0, Q(5, 4), Q(-7, 3)]]
+    want = spectrum(np.array([[float(x) for x in row] for row in mat])).values
+    assert np.array_equal(spectrum(mat).values, want)
+    assert np.array_equal(spectrum(np.array(mat, dtype=object)).values, want)
+
+
+def test_large_circulant_against_closed_form():
+    s = spectrum(circulant(200, 3).adjacency())
+    assert np.allclose(s.values, circulant_spectrum(200, 3), atol=1e-9)
+    assert np.allclose(s.vectors.T @ s.vectors, np.eye(200), atol=1e-10)
+    assert s.residual <= 1e-10
+
+
+def test_repeated_eigenvalues_keep_orthonormal_vectors():
+    # J(6,3) has eigenvalues 9, 3, -1, -3 with multiplicities 1, 5, 9, 5
+    s = spectrum(johnson(6, 3).adjacency())
+    assert np.allclose(s.values, [-3] * 5 + [-1] * 9 + [3] * 5 + [9], atol=1e-10)
+    assert np.allclose(s.vectors.T @ s.vectors, np.eye(20), atol=1e-10)
+    assert s.residual <= 1e-10
 
 
 def test_empty_graph_rejected():
