@@ -20,15 +20,12 @@ from .cliqopt import (
 )
 from .decomp import (
     CliquePartition,
-    CompleteDecomposition,
     Decomposition,
     DecompositionError,
     Piece,
     clique_equality_certificate,
     clique_partition_bound,
     clique_partition_stats,
-    complete_decomposition_bound,
-    complete_equality_certificate,
     cubic_power_bound,
     decomposition,
     decomposition_bound,

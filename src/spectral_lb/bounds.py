@@ -27,6 +27,7 @@ from .decomp import (
     CliquePartition,
     clique_partition_bound,
     clique_partition_stats,
+    min_real_cubic_root,
     validate_partition,
 )
 from .graphs import SimpleGraph, bipartition, diameter, is_connected
@@ -263,25 +264,9 @@ def aab_lower(g: SimpleGraph, k: int) -> float:
 
 
 def cubic_clawfree_theta() -> float:
-    """Smallest (only) real root of x^3 + x + 14, to 1e-12."""
+    """Smallest (only) real root of x^3 + x + 14."""
 
-    lo, hi = -3.0, -2.0
-    p = lambda x: x * x * x + x + 14.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if p(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    x = 0.5 * (lo + hi)
-    for _ in range(50):
-        step = p(x) / (3 * x * x + 1)
-        x -= step
-        if abs(step) < 1e-16:
-            break
-    return x
+    return min_real_cubic_root(-1.0, 14.0)
 
 
 @dataclass(frozen=True)

@@ -149,7 +149,7 @@ def _cmd_reproduce(args) -> int:
     print(format_table(rows))
     if args.json:
         with open(args.json, "w") as fh:
-            json.dump(rows_to_json(rows), fh, indent=2, sort_keys=True)
+            json.dump(rows_to_json(rows), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     return EXIT_OK if all(r.passed for r in rows) else EXIT_FAIL
 

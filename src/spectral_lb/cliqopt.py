@@ -16,11 +16,12 @@ from math import comb
 
 from .decomp import (
     CliquePartition,
-    CompleteDecomposition,
     clique_partition_bound,
     clique_partition_stats,
-    complete_decomposition_bound,
+    complete_lambda,
     complete_piece,
+    decomposition,
+    decomposition_bound,
 )
 from .graphs import SimpleGraph, as_weighted, bit_indices, scale
 from .rationals import Q, QZERO, denominator_lcm
@@ -295,16 +296,6 @@ def _complete_column_shapes(n: int):
     return shapes
 
 
-def _piece_lambda_coeffs(kind: str, size: int):
-    """(lambda of +1 piece, lambda of -1 piece) for the vertex rows."""
-
-    if kind == "K":
-        return Q(-1), Q(-(size - 1))
-    if size == 1:
-        return Q(1), Q(-1)
-    return QZERO, Q(-size)
-
-
 def lambda_star_C(h) -> LambdaStarResult:
     """Best complete-graph-decomposition bound for a weighted graph.
 
@@ -338,7 +329,9 @@ def lambda_star_C(h) -> LambdaStarResult:
     for (u, v) in combinations(range(n), 2):
         pair_coeffs[(u, v)] = {}
     for j, (kind, s) in enumerate(shapes):
-        lp_pos, lp_neg = _piece_lambda_coeffs(kind, len(s))
+        # lambda of the +1 and the -1 piece, for the vertex rows
+        lp_pos = complete_lambda(kind, len(s), Q(1))
+        lp_neg = complete_lambda(kind, len(s), Q(-1))
         for u in s:
             if lp_pos != 0:
                 vertex_coeffs[u][plus[j]] = lp_pos
@@ -400,8 +393,7 @@ def lambda_star_C(h) -> LambdaStarResult:
             raise SimplexError("lambda*_C optimum is not integral at mu")
         mult[sh] = int(count)
         pieces.append(complete_piece(sh[0], sh[1], count))
-    cert = CompleteDecomposition(n, tuple(pieces))
-    bound, table = complete_decomposition_bound(cert, scale(h, mu))
-    if bound != value * mu:
+    bound = decomposition_bound(decomposition(scale(h, mu), pieces))
+    if bound.exact != value * mu:
         raise SimplexError("lambda*_C certificate failed to re-validate")
-    return LambdaStarResult(value, mu, mult, table, sol.pivots)
+    return LambdaStarResult(value, mu, mult, bound.per_vertex_exact, sol.pivots)

@@ -3,10 +3,12 @@
 A decomposition writes a weighted graph H as an exact rational sum of
 weighted pieces living on vertex subsets.  The smallest eigenvalue of H is
 then at least the worst per-vertex sum of piece eigenvalues, with an
-explicit certificate (a null vector of the shifted adjacency matrix)
-characterising equality.  Specialisations cover signed complete-graph
-pieces, clique partitions of integer multiples of a simple graph, line
-graphs of multigraphs, and the cubic trick for odd graph powers.
+explicit certificate (a null vector of A(H) - lambda_D I meeting the
+support and eigenvector conditions) characterising equality.  Signed
+complete-graph pieces are ordinary pieces with closed-form minima.
+Specialisations cover clique partitions of integer multiples of a simple
+graph, line graphs of multigraphs, and the cubic trick for odd graph
+powers.
 """
 
 from __future__ import annotations
@@ -114,6 +116,41 @@ def _uniform_weight(h: WeightedGraph):
     return vals.pop() if len(vals) == 1 else None
 
 
+def _special_shape(h: WeightedGraph):
+    """('I' | 'J' | 'K', c) when h is c times I_n, J_n or K_n, else None.
+
+    Weight keys are normalised pairs u <= v inside 0..n-1, so counting the
+    loops and the pairs identifies the three supports.
+    """
+
+    c = _uniform_weight(h)
+    if c is None:
+        return None
+    n, m = h.n, len(h.weights)
+    loops = sum(1 for u, v in h.weights if u == v)
+    if loops == m == n:
+        return "I", c
+    if loops == n and m == n * (n + 1) // 2:
+        return "J", c
+    if loops == 0 and m == n * (n - 1) // 2:
+        return "K", c
+    return None
+
+
+def complete_lambda(kind: str, s: int, a):
+    """Exact smallest eigenvalue of a*K_s or a*J_s, for a nonzero rational a.
+
+    For a > 0: aK_s has -a, aJ_s has 0 (a for s = 1); for a < 0 the scaled
+    largest eigenvalue takes over: a(s-1) for K, as for J.
+    """
+
+    if kind == "K":
+        return -a if a > 0 else a * (s - 1)
+    if s == 1:
+        return a
+    return QZERO if a > 0 else a * s
+
+
 def piece_lambda(h) -> PieceLambda:
     """Smallest eigenvalue of a piece, exact for the shapes that admit one.
 
@@ -127,36 +164,28 @@ def piece_lambda(h) -> PieceLambda:
     n = h.n
     if h.is_zero:
         return PieceLambda(0.0, QZERO)
+    shape = _special_shape(h)
+    if shape is not None:
+        kind, c = shape
+        val = c if kind == "I" else complete_lambda(kind, n, c)
+        return PieceLambda(float(val), val)
     c = _uniform_weight(h)
-    if c is not None:
-        keys = set(h.weights)
-        if keys == {(u, u) for u in range(n)}:
-            return PieceLambda(float(c), c)  # cI_n
-        all_pairs = {(u, v) for u in range(n) for v in range(u, n)}
-        if keys == all_pairs:  # cJ_n
-            if n == 1:
-                return PieceLambda(float(c), c)
-            val = QZERO if c > 0 else c * n
-            return PieceLambda(float(val), val)
-        if keys == {(u, v) for u in range(n) for v in range(u + 1, n)}:  # cK_n
-            val = -c if c > 0 else c * (n - 1)
-            return PieceLambda(float(val), val)
-        if all(u != v for u, v in keys):
-            # uniform weight on a simple support graph: lambda scales from the
-            # 0/1 matrix, whose rational eigenvalues are integers
-            base = build_simple(n, list(keys))
-            spec = spectrum(base.adjacency(dtype=float))
-            aq = base.adjacency(dtype=object)
-            if c > 0:
-                ext = lambda_min_exact(aq, hint=float(spec.values[0]))
-                if ext is not None:
-                    return PieceLambda(float(c * ext), c * ext)
-                return PieceLambda(float(c) * float(spec.values[0]), None)
-            neg = [[-x for x in row] for row in aq]
-            ext = lambda_min_exact(neg, hint=-float(spec.values[-1]))
-            if ext is not None:  # lambda_max(A) = -lambda_min(-A)
-                return PieceLambda(float(c * -ext), c * -ext)
-            return PieceLambda(float(c) * float(spec.values[-1]), None)
+    if c is not None and all(u != v for u, v in h.weights):
+        # uniform weight on a simple support graph: lambda scales from the
+        # 0/1 matrix, whose rational eigenvalues are integers
+        base = build_simple(n, list(h.weights))
+        spec = spectrum(base.adjacency(dtype=float))
+        aq = base.adjacency(dtype=object)
+        if c > 0:
+            ext = lambda_min_exact(aq, hint=float(spec.values[0]))
+            if ext is not None:
+                return PieceLambda(float(c * ext), c * ext)
+            return PieceLambda(float(c) * float(spec.values[0]), None)
+        neg = [[-x for x in row] for row in aq]
+        ext = lambda_min_exact(neg, hint=-float(spec.values[-1]))
+        if ext is not None:  # lambda_max(A) = -lambda_min(-A)
+            return PieceLambda(float(c * -ext), c * -ext)
+        return PieceLambda(float(c) * float(spec.values[-1]), None)
     spec = spectrum(h.adjacency(dtype=float))
     exact = lambda_min_exact(h.adjacency_q(), hint=spec.lambda_min)
     return PieceLambda(spec.lambda_min if exact is None else float(exact), exact)
@@ -172,29 +201,32 @@ class DecompositionBound:
     per_vertex_exact: tuple | None
 
 
+def _vertex_table(d: Decomposition):
+    """(piece minima, per-vertex sums, whether every minimum is exact).
+
+    The sums are exact rationals when every piece minimum is, floats
+    otherwise.
+    """
+
+    lambdas = [piece_lambda(p.graph) for p in d.pieces]
+    exact = all(pl.exact is not None for pl in lambdas)
+    table = [QZERO if exact else 0.0] * d.target.n
+    for p, pl in zip(d.pieces, lambdas):
+        lam = pl.exact if exact else pl.value
+        for u in p.embedding:
+            table[u] += lam
+    return lambdas, table, exact
+
+
 def decomposition_bound(d: Decomposition) -> DecompositionBound:
     """Lower bound min over vertices u of the summed piece minima at u."""
 
     validate(d)
-    n = d.target.n
-    lambdas = [piece_lambda(p.graph) for p in d.pieces]
-    table = [0.0] * n
-    for p, pl in zip(d.pieces, lambdas):
-        for u in p.embedding:
-            table[u] += pl.value
-    exact_table = None
-    exact_value = None
-    if all(pl.exact is not None for pl in lambdas):
-        exact_table = [QZERO] * n
-        for p, pl in zip(d.pieces, lambdas):
-            for u in p.embedding:
-                exact_table[u] = exact_table[u] + pl.exact
-        exact_value = min(exact_table)
+    _, table, exact = _vertex_table(d)
+    if exact:
+        value = min(table)
         return DecompositionBound(
-            float(exact_value),
-            tuple(float(x) for x in exact_table),
-            exact_value,
-            tuple(exact_table),
+            float(value), tuple(float(x) for x in table), value, tuple(table)
         )
     return DecompositionBound(min(table), tuple(table), None, None)
 
@@ -207,74 +239,32 @@ class Certificate:
     exact: bool
 
 
-def _piece_matrices(d: Decomposition, lambdas, exact: bool):
-    n = d.target.n
-    if exact:
-        p = [[QZERO] * n for _ in range(n)]
-    else:
-        p = np.zeros((n, n))
-    for piece, pl in zip(d.pieces, lambdas):
-        lam = pl.exact if exact else (
-            pl.value if pl.exact is None else pl.exact
-        )
-        emb = piece.embedding
-        for (a, b), w in piece.graph.weights.items():
-            u, v = emb[a], emb[b]
-            val = w if exact else float(w)
-            if exact:
-                p[u][v] = p[u][v] + val
-                if u != v:
-                    p[v][u] = p[v][u] + val
-            else:
-                p[u][v] += val
-                if u != v:
-                    p[v][u] += val
-        for a in range(piece.graph.n):
-            u = emb[a]
-            if exact:
-                p[u][u] = p[u][u] - lam
-            else:
-                p[u][u] -= float(lam)
-    return p
-
-
 def equality_certificate(d: Decomposition) -> Certificate | None:
     """Search for the decomposition-bound equality certificate.
 
-    Builds P = sum_j (M_j - lambda(H^j) E_j) + (rI - R) and looks for a
-    nonzero null vector.  The kernel search is exact rational when every
-    piece minimum is certified rational, and a floating eigensolver kernel
-    (tolerance 1e-8) otherwise.
+    Once the pieces sum to A(H), the theorem's matrix
+    sum_j (M_j - lambda(H^j) E_j) + (rI - R) with r = -lambda_D is
+    A(H) - lambda_D I, so a certificate is a nonzero null vector of it that
+    meets the support and eigenvector conditions.  The kernel search is
+    exact rational when every piece minimum is certified rational, and a
+    floating eigensolver kernel (tolerance 1e-8) otherwise.
     """
 
     validate(d)
     n = d.target.n
-    lambdas = [piece_lambda(p.graph) for p in d.pieces]
-    all_exact = all(pl.exact is not None for pl in lambdas)
-    if all_exact:
-        table = [QZERO] * n
-        for p, pl in zip(d.pieces, lambdas):
-            for u in p.embedding:
-                table[u] = table[u] + pl.exact
-        r = -min(table)
-        pm = _piece_matrices(d, lambdas, exact=True)
+    lambdas, table, exact = _vertex_table(d)
+    lam_d = min(table)
+    if exact:
+        a = d.target.adjacency_q()
         for u in range(n):
-            pm[u][u] = pm[u][u] + (r - (-table[u]))
-        kernel = rational_nullspace(pm)
+            a[u][u] -= lam_d
+        kernel = rational_nullspace(a)
         if not kernel:
             return None
         x = kernel[0]
         _verify_conditions_exact(d, lambdas, table, x)
         return Certificate(tuple(x), True)
-    table = [0.0] * n
-    for p, pl in zip(d.pieces, lambdas):
-        for u in p.embedding:
-            table[u] += pl.value
-    r = -min(table)
-    pm = _piece_matrices(d, lambdas, exact=False)
-    for u in range(n):
-        pm[u][u] += r - (-table[u])
-    spec = spectrum(pm)
+    spec = spectrum(d.target.adjacency(dtype=float) - lam_d * np.eye(n))
     scale_ = 1.0 + float(np.max(np.abs(spec.values))) if n else 1.0
     null_cols = [i for i, v in enumerate(spec.values) if abs(v) <= 1e-8 * scale_]
     if not null_cols:
@@ -323,141 +313,23 @@ def _verify_conditions_exact(d, lambdas, table, x):
 # complete graph decompositions (signed K and J pieces)
 
 
-@dataclass(frozen=True)
-class CompletePiece:
-    """A signed multiple of a complete (K) or looped complete (J) graph."""
+def complete_piece(kind: str, subset, coeff=1) -> Piece:
+    """The piece coeff * K_s or coeff * J_s on a sorted vertex subset."""
 
-    kind: str
-    subset: tuple[int, ...]
-    coeff: object
-
-    def __post_init__(self):
-        if self.kind not in ("K", "J"):
-            raise ValueError("piece kind must be 'K' or 'J'")
-        if len(set(self.subset)) != len(self.subset):
-            raise ValueError("piece subset has repeated vertices")
-        if self.kind == "K" and len(self.subset) < 2:
-            raise ValueError("K pieces need order at least 2")
-        if self.kind == "J" and len(self.subset) < 1:
-            raise ValueError("J pieces need order at least 1")
-        object.__setattr__(self, "subset", tuple(sorted(self.subset)))
-        object.__setattr__(self, "coeff", as_q(self.coeff))
-        if self.coeff == 0:
-            raise ValueError("piece coefficient must be nonzero")
+    if kind not in ("K", "J"):
+        raise ValueError("piece kind must be 'K' or 'J'")
+    subset = tuple(sorted(subset))
+    if len(set(subset)) != len(subset):
+        raise ValueError("piece subset has repeated vertices")
+    graph = special_graph(kind, len(subset))  # rejects K_1 and empty subsets
+    coeff = as_q(coeff)
+    if coeff == 0:
+        raise ValueError("piece coefficient must be nonzero")
+    return Piece(scale(graph, coeff), subset)
 
 
-@dataclass(frozen=True)
-class CompleteDecomposition:
-    n: int
-    pieces: tuple[CompletePiece, ...]
-
-
-def complete_piece(kind: str, subset, coeff=1) -> CompletePiece:
-    return CompletePiece(kind, tuple(subset), coeff)
-
-
-def complete_piece_lambda(piece: CompletePiece):
-    """Exact smallest eigenvalue of a signed complete piece.
-
-    For a > 0: aK_n has -a, aJ_n has 0 (a for n = 1); for a < 0 the scaled
-    largest eigenvalue takes over: a(n-1) for K, an for J.
-    """
-
-    a, s = piece.coeff, len(piece.subset)
-    if piece.kind == "K":
-        return -a if a > 0 else a * (s - 1)
-    if s == 1:
-        return a
-    return QZERO if a > 0 else a * s
-
-
-def complete_piece_weights(piece: CompletePiece) -> dict:
-    w = {}
-    s = piece.subset
-    for i, u in enumerate(s):
-        if piece.kind == "J":
-            w[(u, u)] = piece.coeff
-        for v in s[i + 1 :]:
-            w[(u, v)] = piece.coeff
-    return w
-
-
-def validate_complete(c: CompleteDecomposition, h) -> None:
-    h = as_weighted(h)
-    if c.n != h.n:
-        raise DecompositionError("decomposition and target orders differ")
-    total = {}
-    for piece in c.pieces:
-        if piece.subset and piece.subset[-1] >= c.n:
-            raise DecompositionError("piece subset out of range")
-        for pair, w in complete_piece_weights(piece).items():
-            s = total.get(pair, QZERO) + w
-            if s == 0:
-                total.pop(pair, None)
-            else:
-                total[pair] = s
-    if total != h.weights:
-        bad = sorted(
-            pair
-            for pair in set(total) | set(h.weights)
-            if total.get(pair, QZERO) != h.weights.get(pair, QZERO)
-        )
-        raise DecompositionError(f"complete decomposition mismatch at pairs {bad[:8]}")
-
-
-def complete_decomposition_bound(c: CompleteDecomposition, h):
-    """Per-vertex sums of exact piece minima and their minimum."""
-
-    h = as_weighted(h)
-    validate_complete(c, h)
-    table = [QZERO] * c.n
-    for piece in c.pieces:
-        lam = complete_piece_lambda(piece)
-        for u in piece.subset:
-            table[u] = table[u] + lam
-    return min(table), tuple(table)
-
-
-def complete_equality_certificate(c: CompleteDecomposition, h):
-    """Equality certificate for a complete graph decomposition, or None.
-
-    The conditions are linear: x vanishes off the minimising vertices, is
-    constant on negative pieces, and sums to zero on positive pieces of
-    order above one; any nonzero solution certifies equality.
-    """
-
-    bound, table = complete_decomposition_bound(c, h)
-    rows = []
-    n = c.n
-    for u in range(n):
-        if table[u] != bound:
-            row = [QZERO] * n
-            row[u] = Q(1)
-            rows.append(row)
-    for piece in c.pieces:
-        s = piece.subset
-        if len(s) == 1:
-            continue
-        if piece.coeff > 0:
-            row = [QZERO] * n
-            for u in s:
-                row[u] = Q(1)
-            rows.append(row)
-        else:
-            base = s[0]
-            for u in s[1:]:
-                row = [QZERO] * n
-                row[base] = Q(1)
-                row[u] = Q(-1)
-                rows.append(row)
-    if not rows:
-        rows = [[QZERO] * n]
-    kernel = rational_nullspace(rows)
-    return tuple(kernel[0]) if kernel else None
-
-
-def multipartite_decomposition(parts):
-    """(J_n - sum_j J_{n_j}, K_{n1,...,nm}) on consecutively indexed parts."""
+def multipartite_decomposition(parts) -> Decomposition:
+    """K_{n1,...,nm} = J_n - sum_j J_{n_j} on consecutively indexed parts."""
 
     parts = list(parts)
     n = sum(parts)
@@ -474,7 +346,7 @@ def multipartite_decomposition(parts):
             for u in bounds[i]:
                 for v in bounds[j]:
                     target[(u, v) if u < v else (v, u)] = Q(1)
-    return CompleteDecomposition(n, tuple(pieces)), WeightedGraph(n, target)
+    return decomposition(WeightedGraph(n, target), pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -630,21 +502,6 @@ def cube_decomposition(g: SimpleGraph, alpha, beta, gamma) -> Decomposition:
     return Decomposition(target, tuple(pieces))
 
 
-def _classify_cube_piece(h: WeightedGraph, g: SimpleGraph):
-    c = _uniform_weight(h)
-    if c is None:
-        return None
-    keys = set(h.weights)
-    n = g.n
-    if keys == {(u, u) for u in range(n)}:
-        return ("gamma", c)
-    if keys == {(u, v) for u in range(n) for v in range(u + 1, n)}:
-        return ("beta", c)
-    if keys == set(g.edges()):
-        return ("alpha", c)
-    return None
-
-
 def cubic_power_bound(g: SimpleGraph, d3: Decomposition) -> float:
     """Lower bound on lambda(G) from a decomposition of G^(3).
 
@@ -657,26 +514,23 @@ def cubic_power_bound(g: SimpleGraph, d3: Decomposition) -> float:
     if as_weighted(d3.target).weights != want.weights:
         raise DecompositionError("decomposition target is not G^(3)")
     validate(d3)
-    alpha = beta = gamma = QZERO
+    totals = {"G": QZERO, "K": QZERO, "I": QZERO}
+    edges = set(g.edges())
     for p in d3.pieces:
-        shaped = _classify_cube_piece(p.embedded(g.n), g)
-        if shaped is None:
+        h = p.embedded(g.n)
+        kind, c = _special_shape(h) or ("G", _uniform_weight(h))
+        if kind not in totals or c is None or (kind == "G" and set(h.weights) != edges):
             raise DecompositionError(
                 "cube decomposition pieces must be multiples of G, K_n or I_n"
             )
-        kind, c = shaped
-        if kind == "alpha":
-            alpha = alpha + c
-        elif kind == "beta":
-            beta = beta + c
-        else:
-            gamma = gamma + c
+        totals[kind] += c
+    alpha, beta, gamma = totals["G"], totals["K"], totals["I"]
     if alpha < 0 or beta < 0:
         raise DecompositionError("alpha and beta must be nonnegative")
-    return _min_real_cubic_root(float(alpha), float(beta - gamma))
+    return min_real_cubic_root(float(alpha), float(beta - gamma))
 
 
-def _min_real_cubic_root(a: float, b: float) -> float:
+def min_real_cubic_root(a: float, b: float) -> float:
     """Smallest real root of z^3 - a z + b, polished to residual < 1e-12."""
 
     roots = np.roots([1.0, 0.0, -a, b])

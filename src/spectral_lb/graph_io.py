@@ -133,7 +133,9 @@ def graph_to_json(g) -> dict:
 
 
 def graph_from_json(doc: dict):
-    if not isinstance(doc, dict) or doc.get("fmt") != FORMAT_VERSION:
+    if not isinstance(doc, dict):
+        raise ParseError(f"graph document must be a JSON object, not {type(doc).__name__}")
+    if doc.get("fmt") != FORMAT_VERSION:
         raise ParseError(f"unsupported or missing format version: {doc.get('fmt')!r}")
     kind = doc.get("type")
     n = doc.get("n")

@@ -3,9 +3,8 @@
 All graph weights and certificates are kept in exact rationals; floating
 point only ever appears inside the eigensolver and in the simplex's
 candidate ranking.  Elimination (the simplex basis inverse, kernels, the
-exact PSD test) runs fraction-free over integers through bareiss_step.
-``gmpy2.mpq`` (the optional ``gmpy`` extra) is used when available, with
-a transparent ``fractions.Fraction`` fallback.
+exact PSD test) runs fraction-free over integers through bareiss_step,
+so rationals (``fractions.Fraction``) appear only at the API boundary.
 """
 
 from __future__ import annotations
@@ -13,30 +12,23 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-try:
-    from gmpy2 import mpq as Q
-
-    HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    Q = Fraction
-    HAVE_GMPY2 = False
-
+Q = Fraction
+HAVE_GMPY2 = False  # the benchmark reads it to name the rational backend
 QZERO = Q(0)
-QONE = Q(1)
 
 
 def is_rational(x) -> bool:
     """True for the exact types we accept as weights (no floats)."""
 
-    return isinstance(x, (int, Fraction)) or type(x) is type(QZERO)
+    return isinstance(x, (int, Fraction))
 
 
 def as_q(x):
-    """Coerce an int, Fraction, mpq or 'p/q' string to the package rational type."""
+    """Coerce an int, Fraction or 'p/q' string to a Fraction."""
 
-    if type(x) is type(QZERO):
+    if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, Fraction, str)):
+    if isinstance(x, (int, str)):
         return Q(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
@@ -59,13 +51,13 @@ def parse_q(text: str):
 def numer(x) -> int:
     if type(x) is int:
         return x
-    return int(as_q(x).numerator)
+    return as_q(x).numerator
 
 
 def denom(x) -> int:
     if type(x) is int:
         return 1
-    return int(as_q(x).denominator)
+    return as_q(x).denominator
 
 
 def is_integer(x) -> bool:

@@ -43,11 +43,10 @@ from .decomp import (
     clique_equality_certificate,
     clique_partition_bound,
     clique_partition_stats,
-    complete_decomposition_bound,
-    complete_equality_certificate,
     cube_decomposition,
     cubic_power_bound,
     decomposition_bound,
+    equality_certificate,
     essential_vertices,
     line_graph_bound,
     multipartite_decomposition,
@@ -311,14 +310,12 @@ def _rows_dodecahedron():
 def _rows_multipartite():
     e = "multipartite"
     rows = []
-    dec, target = multipartite_decomposition([2, 2])
-    bound, _ = complete_decomposition_bound(dec, target)
-    rows.append(_row(e, "K_{2,2} J-bound", Q(-2), bound))
-    cert = complete_equality_certificate(dec, target)
+    dec = multipartite_decomposition([2, 2])
+    rows.append(_row(e, "K_{2,2} J-bound", Q(-2), decomposition_bound(dec).exact))
+    cert = equality_certificate(dec)
     rows.append(_row(e, "K_{2,2} equality certificate", True, cert is not None, provenance="exact kernel"))
     rows.append(_row(e, "lambda(K_{2,2})", -2.0, lambda_min(catalog.complete_multipartite([2, 2])), tol=1e-9, provenance="eigensolver"))
-    dec21, target21 = multipartite_decomposition([2, 1])
-    cert21 = complete_equality_certificate(dec21, target21)
+    cert21 = equality_certificate(multipartite_decomposition([2, 1]))
     rows.append(_row(e, "K_{2,1} certificate absent", False, cert21 is not None, provenance="exact kernel"))
     rows.append(
         _row(e, "lambda(K_{2,1}) = -sqrt2", -math.sqrt(2), lambda_min(catalog.complete_multipartite([2, 1])), tol=1e-10, provenance="eigensolver")
@@ -607,7 +604,7 @@ def rows_to_json(rows: list[ReproRow]) -> dict:
                 "quantity": r.quantity,
                 "expected": r.expected,
                 "computed": r.computed,
-                "diff": None if math.isinf(r.diff) else round(float(r.diff), 12),
+                "diff": round(float(r.diff), 12) if math.isfinite(r.diff) else None,
                 "tol": float(r.tol),
                 "pass": bool(r.passed),
                 "provenance": r.provenance,

@@ -101,6 +101,19 @@ def test_reproduce_negative_control(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_reproduce_negative_control_json_is_strict(tmp_path, capsys):
+    # the perturbed Petersen "cubic bound" row has a NaN diff; it must be null
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    out = tmp_path / "neg.json"
+    code, _, _ = run(capsys, "reproduce", "--negative-control", "--filter", "petersen", "--json", str(out))
+    assert code == 1
+    doc = json.loads(out.read_text(), parse_constant=reject)
+    assert doc["passed"] is False
+    assert any(r["diff"] is None for r in doc["rows"])
+
+
 def test_reproduce_bad_filter(capsys):
     code, _, err = run(capsys, "reproduce", "--filter", "zzz")
     assert code == 2 and "no rows" in err

@@ -322,8 +322,14 @@ def test_lambda_star_c_against_float_lp_oracle(rng):
     import numpy as np
     from scipy.optimize import linprog
 
-    from spectral_lb.cliqopt import _complete_column_shapes, _piece_lambda_coeffs
+    from spectral_lb.cliqopt import _complete_column_shapes
     from spectral_lb.graphs import as_weighted
+
+    def piece_lambdas(kind, s):
+        # closed forms written out here: lambda of +K_s, -K_s, +J_s, -J_s
+        if kind == "K":
+            return -1, -(s - 1)
+        return (1, -1) if s == 1 else (0, -s)
 
     def float_opt(g):
         h = as_weighted(g)
@@ -337,7 +343,7 @@ def test_lambda_star_c_against_float_lp_oracle(rng):
         a_ub = np.zeros((n, nv))
         for j, (kind, s) in enumerate(shapes):
             pj, mj = 2 * j, 2 * j + 1
-            lp_pos, lp_neg = _piece_lambda_coeffs(kind, len(s))
+            lp_pos, lp_neg = piece_lambdas(kind, len(s))
             for u in s:
                 a_ub[u, pj] -= float(lp_pos)
                 a_ub[u, mj] -= float(lp_neg)

@@ -22,7 +22,6 @@ from spectral_lb.catalog import (
 )
 from spectral_lb.decomp import (
     CliquePartition,
-    CompleteDecomposition,
     Decomposition,
     DecompositionError,
     Piece,
@@ -31,8 +30,6 @@ from spectral_lb.decomp import (
     clique_equality_certificate,
     clique_partition_bound,
     clique_partition_stats,
-    complete_decomposition_bound,
-    complete_equality_certificate,
     complete_piece,
     cube_decomposition,
     cubic_power_bound,
@@ -68,9 +65,8 @@ GOLDEN = (1 + math.sqrt(5)) / 2
 
 
 def test_validate_multipartite_identity():
-    dec, target = multipartite_decomposition([2, 2])
-    bound, table = complete_decomposition_bound(dec, target)
-    assert bound == Q(-2) and all(t == Q(-2) for t in table)
+    b = decomposition_bound(multipartite_decomposition([2, 2]))
+    assert b.exact == Q(-2) and all(t == Q(-2) for t in b.per_vertex_exact)
 
 
 def test_validate_petersen_cube():
@@ -232,39 +228,51 @@ def test_equality_certificate_float_path():
 
 def test_complete_bound_multipartite_families():
     for parts in ([2, 2], [3, 3, 1], [4, 2, 2], [2, 1]):
-        dec, target = multipartite_decomposition(parts)
-        bound, _ = complete_decomposition_bound(dec, target)
+        dec = multipartite_decomposition(parts)
+        assert dec.target == weighted_from_simple(complete_multipartite(parts))
+        bound = decomposition_bound(dec).exact
         assert bound == Q(-max(parts))
         lam = lambda_min(complete_multipartite(parts))
         assert float(bound) <= lam + 1e-9
-        cert = complete_equality_certificate(dec, target)
+        cert = equality_certificate(dec)
         two_largest_equal = sorted(parts)[-1] == sorted(parts)[-2]
         assert (cert is not None) == two_largest_equal
+        assert cert is None or cert.exact
 
 
 def test_complete_bound_k4_with_single_loops():
     # K_4 = J_4 - four J_1 loops; per-vertex sum is 0 + (-1) = -1 = lambda
     pieces = [complete_piece("J", range(4), 1)]
     pieces += [complete_piece("J", [u], -1) for u in range(4)]
-    dec = CompleteDecomposition(4, tuple(pieces))
-    target = weighted_from_simple(complete(4))
-    bound, table = complete_decomposition_bound(dec, target)
-    assert bound == Q(-1) and all(t == Q(-1) for t in table)
+    dec = decomposition(weighted_from_simple(complete(4)), pieces)
+    b = decomposition_bound(dec)
+    assert b.exact == Q(-1) and all(t == Q(-1) for t in b.per_vertex_exact)
 
 
 def test_complete_certificate_knn():
-    dec, target = multipartite_decomposition([3, 3])
-    cert = complete_equality_certificate(dec, target)
-    assert cert is not None
+    cert = equality_certificate(multipartite_decomposition([3, 3]))
+    assert cert is not None and cert.exact
+    x = cert.vector
     # constant on each part, opposite signs
-    assert len(set(cert[:3])) == 1 and len(set(cert[3:])) == 1
-    assert 3 * cert[0] + 3 * cert[3] == 0
+    assert len(set(x[:3])) == 1 and len(set(x[3:])) == 1
+    assert 3 * x[0] + 3 * x[3] == 0
 
 
 def test_complete_validation_catches_mismatch():
-    dec = CompleteDecomposition(2, (complete_piece("K", [0, 1], 2),))
+    dec = decomposition(weighted_from_simple(complete(2)), [complete_piece("K", [0, 1], 2)])
     with pytest.raises(DecompositionError):
-        complete_decomposition_bound(dec, weighted_from_simple(complete(2)))
+        decomposition_bound(dec)
+    with pytest.raises(DecompositionError):
+        equality_certificate(dec)
+
+
+def test_complete_piece_is_a_scaled_special_graph():
+    p = complete_piece("K", [3, 0, 2], Q(-3, 2))
+    assert p == Piece(scale(special_graph("K", 3), Q(-3, 2)), (0, 2, 3))
+    assert piece_lambda(p.graph).exact == Q(-3)  # a(s - 1) for a < 0
+    for args in (("I", [0, 1], 1), ("K", [0, 0, 1], 1), ("K", [0], 1), ("J", [], 1), ("J", [0, 1], 0)):
+        with pytest.raises(ValueError):
+            complete_piece(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,12 @@ def test_json_version_gate():
         graph_from_json({"fmt": 2, "type": "simple", "n": 1, "edges": []})
 
 
+@pytest.mark.parametrize("doc", [[1, 2], "simple", None])
+def test_json_non_object_rejected(doc):
+    with pytest.raises(ParseError, match="JSON object"):
+        graph_from_json(doc)
+
+
 def test_autodetect():
     as_json = json.dumps(graph_to_json(cycle(4)))
     g = load_graph_text(as_json)
