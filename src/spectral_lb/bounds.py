@@ -15,6 +15,7 @@ from itertools import combinations, permutations
 
 from .cliqopt import (
     MAX_CLIQUE_ORDER,
+    MAX_COLOR_ORDER,
     clique_number,
     chromatic_number,
     fractional_chromatic,
@@ -36,8 +37,6 @@ from .spectra import lambda_min, lambda_max
 
 MAX_BETA_ORDER = 14
 MAX_ORBIT_ORDER = 10
-# chromatic searches in a report; hoffman and lambda*_K use MAX_CLIQUE_ORDER
-MAX_CHROMATIC_ORDER = 18
 # the complete-decomposition LP supports n <= 12, but above 10 a single
 # interactive report would wait minutes on it
 REPORT_COMPLETE_ORDER = 10
@@ -461,7 +460,7 @@ def product_tightness(g1: SimpleGraph, k1: CliquePartition, g2: SimpleGraph, k2:
     }
     if abs(lam - float(expected)) > 1e-8:
         raise AssertionError("product eigenvalue does not match -k1 k2/(c1-1)")
-    if prod.n <= 24:
+    if prod.n <= MAX_CLIQUE_ORDER:
         star = lambda_star_K(prod)
         report["lambda_star_K"] = star.value
         if star.value != expected:
@@ -643,11 +642,11 @@ def bound_report(g: SimpleGraph, name: str = "graph", partition: CliquePartition
     if k is not None and k > 0:
         if fits(["hoffman"], MAX_CLIQUE_ORDER):
             put("hoffman", "upper", hoffman_upper(g))
-        if fits(["fractional_chromatic", "chromatic"], MAX_CHROMATIC_ORDER):
+        if fits(["fractional_chromatic", "chromatic"], MAX_COLOR_ORDER):
             frac, chrom = chromatic_uppers(g)
             put("fractional_chromatic", "upper", frac)
             put("chromatic", "upper", chrom)
-    if g.m > 0 and fits(["lovasz_fractional", "lovasz_chromatic"], MAX_CHROMATIC_ORDER):
+    if g.m > 0 and fits(["lovasz_fractional", "lovasz_chromatic"], MAX_COLOR_ORDER):
         lov_f, lov_c = lovasz_upper(g)
         put("lovasz_fractional", "upper", lov_f)
         put("lovasz_chromatic", "upper", lov_c)

@@ -16,7 +16,6 @@ from .graphs import (
     SimpleGraph,
     build_simple,
     cartesian_product,
-    hamming_graph,
 )
 from .rationals import Q
 
@@ -204,7 +203,15 @@ def kneser_partition(k: int) -> CliquePartition:
 def hamming(orders) -> SimpleGraph:
     """Cartesian product of complete graphs (each order at least 2)."""
 
-    return hamming_graph(orders)
+    orders = list(orders)
+    if not orders:
+        raise ValueError("need at least one factor")
+    if any(q < 2 for q in orders):
+        raise ValueError("every factor order must be at least 2")
+    g = complete(orders[0])
+    for q in orders[1:]:
+        g = cartesian_product(g, complete(q))
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .graphs import (
     SimpleGraph,
     WeightedGraph,
     as_weighted,
-    build_simple,
     embed,
     line_graph,
     line_graph_vertices,
@@ -152,40 +151,22 @@ def complete_lambda(kind: str, s: int, a):
 
 
 def piece_lambda(h) -> PieceLambda:
-    """Smallest eigenvalue of a piece, exact for the shapes that admit one.
+    """Smallest eigenvalue of a piece, exact when it is rational.
 
-    Scaled I/J/K pieces have closed forms; uniformly weighted pieces reduce
-    to an integer matrix where rational eigenvalues are certified exactly;
-    anything else falls back to the eigensolver (and an exact certificate
-    attempt on the rational adjacency matrix).
+    Scaled I/J/K pieces have closed forms; any other piece hands the
+    eigensolver's minimum to lambda_min_exact as the hint, which certifies
+    the one rational candidate k/s (s the lcm of the weights'
+    denominators) or leaves an irrational minimum as a float.
     """
 
     h = as_weighted(h)
-    n = h.n
     if h.is_zero:
         return PieceLambda(0.0, QZERO)
     shape = _special_shape(h)
     if shape is not None:
         kind, c = shape
-        val = c if kind == "I" else complete_lambda(kind, n, c)
+        val = c if kind == "I" else complete_lambda(kind, h.n, c)
         return PieceLambda(float(val), val)
-    c = _uniform_weight(h)
-    if c is not None and all(u != v for u, v in h.weights):
-        # uniform weight on a simple support graph: lambda scales from the
-        # 0/1 matrix, whose rational eigenvalues are integers
-        base = build_simple(n, list(h.weights))
-        spec = spectrum(base.adjacency(dtype=float))
-        aq = base.adjacency(dtype=object)
-        if c > 0:
-            ext = lambda_min_exact(aq, hint=float(spec.values[0]))
-            if ext is not None:
-                return PieceLambda(float(c * ext), c * ext)
-            return PieceLambda(float(c) * float(spec.values[0]), None)
-        neg = [[-x for x in row] for row in aq]
-        ext = lambda_min_exact(neg, hint=-float(spec.values[-1]))
-        if ext is not None:  # lambda_max(A) = -lambda_min(-A)
-            return PieceLambda(float(c * -ext), c * -ext)
-        return PieceLambda(float(c) * float(spec.values[-1]), None)
     spec = spectrum(h.adjacency(dtype=float))
     exact = lambda_min_exact(h.adjacency_q(), hint=spec.lambda_min)
     return PieceLambda(spec.lambda_min if exact is None else float(exact), exact)
@@ -415,24 +396,19 @@ def clique_partition_bound(k: CliquePartition, g: SimpleGraph):
 
 
 def clique_equality_certificate(k: CliquePartition, g: SimpleGraph):
-    """Nonzero x with N^T x = 0 vanishing off the max-r vertices, or None."""
+    """Nonzero x with N^T x = 0 vanishing off the max-r vertices, or None.
 
-    r_u, r, _ = clique_partition_stats(k, g)
+    With N the vertex-clique incidence matrix, mu A(G) + rI equals
+    N N^T + diag(r - r_u), a sum of PSD matrices, so its kernel is exactly
+    {x : N^T x = 0, x_u = 0 where r_u < r}; x is its first kernel vector.
+    """
+
+    _, r, _ = clique_partition_stats(k, g)
     if not k.cliques:
         return None
-    rows = []
     n = g.n
-    for u in range(n):
-        if r_u[u] < r:
-            row = [QZERO] * n
-            row[u] = Q(1)
-            rows.append(row)
-    for cl in k.cliques:
-        row = [QZERO] * n
-        for u in cl:
-            row[u] = Q(1)
-        rows.append(row)
-    kernel = rational_nullspace(rows)
+    m = [[r if u == v else k.mu * g.has_edge(u, v) for v in range(n)] for u in range(n)]
+    kernel = rational_nullspace(m)
     return tuple(kernel[0]) if kernel else None
 
 

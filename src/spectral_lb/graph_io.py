@@ -25,6 +25,11 @@ from .rationals import Q, format_q, parse_q
 FORMAT_VERSION = 1
 
 
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class ParseError(ValueError):
     """Input rejected; carries the offending 1-based line number."""
 
@@ -139,7 +144,7 @@ def graph_from_json(doc: dict):
         raise ParseError(f"unsupported or missing format version: {doc.get('fmt')!r}")
     kind = doc.get("type")
     n = doc.get("n")
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ParseError("missing or bad vertex count")
     try:
         if kind == "simple":
@@ -197,8 +202,10 @@ def partition_to_json(k: CliquePartition) -> dict:
 def partition_from_json(doc: dict) -> CliquePartition:
     try:
         mu = doc["mu"]
-        cliques = tuple(tuple(int(v) for v in c) for c in doc["cliques"])
-        return CliquePartition(int(mu), cliques)
+        cliques = tuple(tuple(c) for c in doc["cliques"])
+        if not _is_int(mu) or not all(_is_int(v) for c in cliques for v in c):
+            raise ValueError("mu and every clique vertex must be integers")
+        return CliquePartition(mu, cliques)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad partition document: {exc}")
 

@@ -132,11 +132,6 @@ class Multigraph:
     def multiplicity(self, u: int, v: int) -> int:
         return self.mult.get(_pair(u, v), 0)
 
-    def max_multiplicity(self) -> int:
-        """Largest edge multiplicity over non-loop pairs (0 for edgeless)."""
-
-        return max((m for (u, v), m in self.mult.items() if u != v), default=0)
-
     def adjacency(self, dtype=object) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=dtype)
         for (u, v), m in self.mult.items():
@@ -383,24 +378,6 @@ def composition(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
         for x, y in g2.edges():
             edges.append((u * n2 + x, u * n2 + y))
     return build_simple(n1 * n2, edges)
-
-
-def hamming_graph(orders) -> SimpleGraph:
-    """Iterated Cartesian product of complete graphs K_{orders[0]} [] K_... ."""
-
-    orders = list(orders)
-    if not orders:
-        raise ValueError("need at least one factor")
-    if any(q < 2 for q in orders):
-        raise ValueError("every factor order must be at least 2")
-    g = _complete_simple(orders[0])
-    for q in orders[1:]:
-        g = cartesian_product(g, _complete_simple(q))
-    return g
-
-
-def _complete_simple(n: int) -> SimpleGraph:
-    return build_simple(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 # ---------------------------------------------------------------------------

@@ -60,10 +60,6 @@ def denom(x) -> int:
     return as_q(x).denominator
 
 
-def is_integer(x) -> bool:
-    return denom(x) == 1
-
-
 def denominator_lcm(values) -> int:
     """lcm of the denominators of an iterable of rationals (1 for empty)."""
 
@@ -72,12 +68,6 @@ def denominator_lcm(values) -> int:
         d = denom(v)
         out = out * d // gcd(out, d)
     return out
-
-
-def as_fraction(x) -> Fraction:
-    """Convert to a stdlib Fraction (used for float-free interop)."""
-
-    return Fraction(numer(x), denom(x))
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .rationals import Q, QZERO, bareiss_step, denom, integer_row, numer
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+MAX_PIVOTS = 1000000
 
 
 class SimplexError(RuntimeError):
@@ -49,7 +50,6 @@ class LPSolution:
     objective: object | None = None
     x: list | None = None
     duals: list | None = None
-    basis: tuple[int, ...] | None = None
     pivots: int = 0
 
 
@@ -246,13 +246,13 @@ class _Core:
             ties = keep
         return ties[0]
 
-    def iterate(self, max_pivots=1000000):
+    def iterate(self):
         self._refresh_float()
         self.lex_seed = None
         m = self.m
         last = None
         while True:
-            if self.pivots > max_pivots:
+            if self.pivots > MAX_PIVOTS:
                 raise SimplexError("pivot limit exceeded")
             acc = self.prices()
             y, obj = acc[:m], acc[m]
@@ -294,8 +294,14 @@ def solve_standard(columns, cost, b, m, start_basis=None):
 
     b may have either sign (rows are normalised internally).  When
     start_basis yields an invertible, primal-feasible basis, phase 1 is
-    skipped.  The returned solution carries exact x, duals and basis, and
+    skipped.  The returned solution carries exact x and duals, and
     optimality is re-verified by exact complementary slackness.
+
+    Dependent rows stay in place.  An artificial still basic at position i
+    after phase 1 has row i of B^-1 A equal to zero, so every later
+    direction has d_i = 0 and a Bareiss step keeps that row zero: the
+    artificial never leaves, stays at 0, and as a basic column of cost 0
+    gets dual 0.
     """
 
     # sign-normalise and scale each row to integers by the lcm of its
@@ -316,7 +322,6 @@ def solve_standard(columns, cost, b, m, start_basis=None):
     nstruct = len(int_cols)
     core = _Core(int_cols, cost_int, b_int, m, rscale, cscale)
 
-    kept = range(m)  # the caller's row behind each row of core
     started = False
     if start_basis is not None:
         started = core.set_basis(list(start_basis))
@@ -334,11 +339,6 @@ def solve_standard(columns, cost, b, m, start_basis=None):
         if status != OPTIMAL or core.prices()[core.m] != 0:
             return LPSolution(status=INFEASIBLE, pivots=core.pivots)
         _drive_out_artificials(core, nstruct)
-        if any(j >= nstruct for j in core.basis):
-            dropped = _drop_redundant_rows(core, nstruct)
-            if dropped is None:
-                raise SimplexError("could not remove redundant rows")
-            core, kept = dropped
         core.cost = cost_int + [0] * (len(core.columns) - nstruct)
         core.cscale = cscale
         for j in range(nstruct, len(core.columns)):
@@ -356,23 +356,24 @@ def solve_standard(columns, cost, b, m, start_basis=None):
     det = core.det
     den = det * cscale
     x = [Q(v, det) if v else QZERO for v in xhat]
-    # duals in the caller's row order, scaling and sign convention; a
-    # dropped row is a combination of the kept ones, so its dual is 0
-    duals = [QZERO] * m
-    for v, r in zip(acc, kept):
-        duals[r] = Q(sign[r] * v * rscale[r], den)
+    # duals in the caller's row order, scaling and sign convention; the
+    # artificial of a dependent row stays basic at cost 0, so its dual is 0
+    duals = [Q(sign[r] * acc[r] * rscale[r], den) for r in range(m)]
     return LPSolution(
         status=OPTIMAL,
         objective=Q(acc[core.m], den),
         x=x,
         duals=duals,
-        basis=tuple(core.basis),
         pivots=core.pivots,
     )
 
 
 def _drive_out_artificials(core, nstruct):
-    """Pivot zero-valued artificial variables out of the basis when possible."""
+    """Pivot zero-valued artificial variables out of the basis when possible.
+
+    An artificial left in basis position i has row i of B^-1 A equal to
+    zero: its own row is a combination of the others.
+    """
 
     for i in range(core.m):
         if core.basis[i] < nstruct:
@@ -384,39 +385,6 @@ def _drive_out_artificials(core, nstruct):
             if sum(row[r] * v for r, v in core.columns[j]) != 0:
                 core._pivot(j, i, core.direction(j))
                 break
-
-
-def _drop_redundant_rows(core, nstruct):
-    """Remove rows whose artificials cannot leave the basis (dependent rows).
-
-    An artificial stuck in basis position i after _drive_out_artificials
-    has row i of B^-1 A equal to zero, so its own constraint row (not row i)
-    is a combination of the others.  Returns a core over the remaining
-    rows with the indices of those rows, or None.
-    """
-
-    stuck = [i for i in range(core.m) if core.basis[i] >= nstruct]
-    if any(core.xhat(i) != 0 for i in stuck):
-        return None
-    bad_rows = {core.basis[i] - nstruct for i in stuck}
-    keep = [r for r in range(core.m) if r not in bad_rows]
-    remap = {r: k for k, r in enumerate(keep)}
-    new_cols = [
-        [(remap[r], v) for r, v in core.columns[j] if r in remap]
-        for j in range(nstruct)
-    ]
-    new_core = _Core(
-        new_cols,
-        core.cost[:nstruct],
-        [core.b[r] for r in keep],
-        len(keep),
-        [core.rscale[r] for r in keep],
-    )
-    basis = [j for j in core.basis if j < nstruct]
-    if not new_core.set_basis(basis):
-        return None
-    new_core.pivots = core.pivots
-    return new_core, keep
 
 
 def _verify_optimal(core, nstruct, xhat, acc):

@@ -12,7 +12,6 @@ both fraction-free over integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -217,29 +216,24 @@ def is_exact_eigenvalue(mat, r) -> bool:
 def lambda_min_exact(mat, hint: float | None = None):
     """Certify the smallest eigenvalue as an exact rational, when it is one.
 
-    Candidates with small denominator near the floating value are tested;
-    r wins when r is an exact eigenvalue and A - rI is exactly PSD.
-    Returns the rational or None (an irrational minimum, or no candidate).
+    With s the lcm of the entries' denominators, s A is an integer matrix
+    with a monic integer characteristic polynomial, so every rational
+    eigenvalue of A is k/s for an integer k.  The one candidate
+    r = round(s * hint)/s wins when A - rI is exactly PSD and singular.
+    Returns the rational or None (an irrational minimum).  A rational
+    minimum is missed only when the float hint is off by at least 1/(2s),
+    which needs entries of s A near 2^50.
     """
 
     a = _q_matrix(mat)
     if hint is None:
         hint = spectrum(a).lambda_min
-    seen = set()
-    candidates = []
-    for den_cap in (1, 2, 3, 4, 6, 8, 12, 24, 60):
-        c = Fraction(hint).limit_denominator(den_cap)
-        if c not in seen:
-            seen.add(c)
-            candidates.append(Q(c.numerator, c.denominator))
-    for r in candidates:
-        if abs(float(r) - hint) > 1e-7:
-            continue
-        shifted = [row[:] for row in a]
-        for i in range(len(shifted)):
-            shifted[i][i] = shifted[i][i] - r
-        if psd_check_exact(shifted) and bool(rational_nullspace(shifted)):
-            return r
+    s = denominator_lcm(x for row in a for x in row)
+    r = Q(round(s * hint), s)
+    for i in range(len(a)):
+        a[i][i] -= r
+    if psd_check_exact(a) and rational_nullspace(a):
+        return r
     return None
 
 

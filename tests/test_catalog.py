@@ -133,6 +133,8 @@ def test_hamming():
     assert lambda_min(pr) == pytest.approx(-2, abs=1e-9)
     with pytest.raises(ValueError):
         hamming([1, 2])
+    with pytest.raises(ValueError):
+        hamming([])
 
 
 def test_circulant_structure():

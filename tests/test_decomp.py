@@ -121,6 +121,14 @@ def test_piece_lambda_uniform_integer_graph():
     assert pl_neg.exact == Q(-3)  # -lambda_max
 
 
+def test_piece_lambda_rational_noninteger_minimum():
+    # the path 3/61 - 4/61 has eigenvalues 0 and +-5/61; the candidate k/61
+    # comes from the lcm of the weights' denominators
+    pl = piece_lambda(build_weighted(3, {(0, 1): Q(3, 61), (1, 2): Q(4, 61)}))
+    assert pl.exact == Q(-5, 61)
+    assert pl.value == pytest.approx(-5 / 61, abs=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # decomposition bounds
 

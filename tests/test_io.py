@@ -114,6 +114,27 @@ def test_partition_documents():
         partition_from_json({"cliques": [[0, 1]]})
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"mu": 1.5, "cliques": [[0, 1]]},
+        {"mu": True, "cliques": [[0, 1]]},
+        {"mu": 1, "cliques": [[0, 1.9]]},
+        {"mu": 1, "cliques": [[True, 2]]},
+        {"mu": 1, "cliques": [["0", 1]]},
+    ],
+)
+def test_partition_document_non_integers_rejected(doc):
+    # a partition the file does not state exactly must not be truncated into one
+    with pytest.raises(ParseError):
+        partition_from_json(doc)
+
+
+def test_graph_document_boolean_order_rejected():
+    with pytest.raises(ParseError):
+        graph_from_json({"fmt": 1, "type": "simple", "n": True, "edges": []})
+
+
 def test_certificate_documents():
     from spectral_lb.cliqopt import lambda_star_C, lambda_star_K
     from spectral_lb.catalog import octahedron

@@ -4,11 +4,9 @@ import pytest
 
 from spectral_lb.rationals import (
     Q,
-    as_fraction,
     as_q,
     denominator_lcm,
     format_q,
-    is_integer,
     is_rational,
     parse_q,
 )
@@ -39,10 +37,3 @@ def test_denominator_lcm():
     assert denominator_lcm([Q(1, 2), Q(1, 3), Q(5)]) == 6
     assert denominator_lcm([]) == 1
     assert denominator_lcm([Q(3, 4), Q(5, 6)]) == 12
-
-
-def test_is_integer_and_fraction():
-    assert is_integer(Q(4, 2))
-    assert not is_integer(Q(1, 3))
-    fr = as_fraction(Q(-7, 3))
-    assert fr.numerator == -7 and fr.denominator == 3

@@ -78,6 +78,8 @@ def test_redundant_rows_handled():
     lp.add_eq({x: Q(2), y: Q(2)}, 4)  # same hyperplane
     sol = lp.solve()
     assert sol.status == OPTIMAL and sol.objective == Q(2)
+    rows = [([Q(1), Q(1)], "=", 2), ([Q(2), Q(2)], "=", 4)]
+    _assert_dual_certificate(sol, [1, 2], rows, False)
 
 
 def test_degenerate_cycling_guard():
@@ -244,7 +246,7 @@ def _assert_dual_certificate(sol, cost, rows, maximize):
 
 def test_redundant_row_removed_by_its_own_index():
     # the artificial of a dependent row can stay basic in another basis
-    # position; the dependent row, not the position's row, must be dropped
+    # position; it stays there at 0 and the duals still certify the optimum
     cost = [Q(2, 3), 0, Q(-5, 4)]
     rows = [
         ([0, -1, Q(1, 3)], "<=", 0),

@@ -14,7 +14,7 @@ from spectral_lb.catalog import (
     johnson,
     petersen,
 )
-from spectral_lb.graphs import bipartition, power_multigraph, build_simple
+from spectral_lb.graphs import bipartition, power_multigraph, build_simple, build_weighted
 from spectral_lb.rationals import Q
 from spectral_lb.spectra import (
     is_exact_eigenvalue,
@@ -243,6 +243,8 @@ def test_exact_rational_noninteger_eigenvalue():
     # weighted matrix with smallest eigenvalue -3/2
     mat = [[Q(-3, 2), 0], [0, Q(5)]]
     assert lambda_min_exact(mat) == Q(-3, 2)
+    path = build_weighted(3, {(0, 1): Q(3, 61), (1, 2): Q(4, 61)})
+    assert lambda_min_exact(path.adjacency_q()) == Q(-5, 61)
 
 
 # ---------------------------------------------------------------------------
