@@ -19,6 +19,7 @@ from .cliqopt import (
     turan_t,
 )
 from .decomp import (
+    CertificateError,
     CliquePartition,
     Decomposition,
     DecompositionError,

@@ -25,6 +25,7 @@ from .cliqopt import (
     turan_t,
 )
 from .decomp import (
+    CertificateError,
     CliquePartition,
     clique_partition_bound,
     clique_partition_stats,
@@ -74,7 +75,7 @@ def chromatic_uppers(g: SimpleGraph) -> tuple[float, float]:
     frac = -Q(k) / (chi_f - 1)
     chrom = Q(-k, chi - 1)
     if frac > chrom:
-        raise AssertionError("fractional bound must not exceed the chromatic one")
+        raise CertificateError("fractional bound must not exceed the chromatic one")
     return float(frac), float(chrom)
 
 
@@ -324,20 +325,20 @@ def cubic_clawfree_check(g: SimpleGraph) -> ClawfreeCubicReport:
         elif inside == 2:
             kinds.append("K1,2")
         else:
-            raise AssertionError(
+            raise CertificateError(
                 "claw-free cubic neighbourhoods on >= 6 vertices have 1 or 2 edges"
             )
     diamonds = tuple(find_diamonds(g))
     used = set()
     for dia in diamonds:
         if used & set(dia):
-            raise AssertionError("distinct diamonds must be vertex disjoint")
+            raise CertificateError("distinct diamonds must be vertex disjoint")
         used |= set(dia)
     middles = tuple((u, v) for (_, _, u, v) in diamonds)
     lam = lambda_min(g)
     theta = cubic_clawfree_theta()
     if lam < theta - 1e-8:
-        raise AssertionError(f"lambda {lam} dips below theta {theta}")
+        raise CertificateError(f"lambda {lam} dips below theta {theta}")
     triangle_bound = None
     if all(kind == "K1+K2" for kind in kinds):
         cliques = []
@@ -359,9 +360,9 @@ def cubic_clawfree_check(g: SimpleGraph) -> ClawfreeCubicReport:
         part = CliquePartition(1, tuple(cliques))
         triangle_bound = clique_partition_bound(part, g)
         if triangle_bound != Q(-2):
-            raise AssertionError("triangle/edge partition should give exactly -2")
+            raise CertificateError("triangle/edge partition should give exactly -2")
         if lam < -2 - 1e-8:
-            raise AssertionError("lambda must be at least -2 here")
+            raise CertificateError("lambda must be at least -2 here")
     return ClawfreeCubicReport(lam, theta, tuple(kinds), diamonds, middles, triangle_bound)
 
 
@@ -383,7 +384,7 @@ def deltbnd_check(k: CliquePartition, g: SimpleGraph):
     delta = max(degs)
     bound = Q(delta, c - 1)
     if Q(r, k.mu) > bound:
-        raise AssertionError("partition exceeds the degree bound")
+        raise CertificateError("partition exceeds the degree bound")
     orders_at = [[] for _ in range(g.n)]
     for cl in k.cliques:
         for u in cl:
@@ -397,7 +398,7 @@ def deltbnd_check(k: CliquePartition, g: SimpleGraph):
         e_u = sum(1 for o in orders_at[u] if o == c)
         refine.append(Q(k.mu * degs[u] + e_u, c))
         if r_u[u] > refine[u]:
-            raise AssertionError("per-vertex refinement violated")
+            raise CertificateError("per-vertex refinement violated")
     return bound, tight, tuple(refine)
 
 
@@ -459,12 +460,12 @@ def product_tightness(g1: SimpleGraph, k1: CliquePartition, g2: SimpleGraph, k2:
         "mu": part.mu,
     }
     if abs(lam - float(expected)) > 1e-8:
-        raise AssertionError("product eigenvalue does not match -k1 k2/(c1-1)")
+        raise CertificateError("product eigenvalue does not match -k1 k2/(c1-1)")
     if prod.n <= MAX_CLIQUE_ORDER:
         star = lambda_star_K(prod)
         report["lambda_star_K"] = star.value
         if star.value != expected:
-            raise AssertionError("lambda*_K on the product missed the closed form")
+            raise CertificateError("lambda*_K on the product missed the closed form")
     return report
 
 

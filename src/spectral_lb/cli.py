@@ -2,7 +2,7 @@
 
 Subcommands: catalog (name registry and graph output), spectrum, bounds,
 lambda-star-k, lambda-star-c, and reproduce (the worked-example table).
-Exit codes: 0 success, 1 assertion/row failure, 2 input error.
+Exit codes: 0 success, 1 failed check or row, 2 input error.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import sys
 from . import catalog as cat
 from .bounds import bound_report
 from .cliqopt import lambda_star_C, lambda_star_K
+from .decomp import CertificateError
 from .graph_io import (
     ParseError,
     certificate_to_json,
@@ -24,6 +25,7 @@ from .graph_io import (
 )
 from .rationals import format_q
 from .reproduce import build_rows, format_table, rows_to_json
+from .simplex import SimplexError
 from .spectra import spectrum, verified_integer_eigenvalues
 
 EXIT_OK = 0
@@ -207,8 +209,8 @@ def main(argv=None) -> int:
     except (ParseError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except AssertionError as exc:
-        print(f"assertion failed: {exc}", file=sys.stderr)
+    except (CertificateError, SimplexError) as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
     return code
 

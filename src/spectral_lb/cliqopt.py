@@ -11,10 +11,12 @@ numbers, Turan numbers) is exact branch and bound on bitsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 from .decomp import (
+    CertificateError,
     CliquePartition,
     clique_partition_bound,
     clique_partition_stats,
@@ -267,7 +269,7 @@ def lambda_star_K(g: SimpleGraph) -> LambdaStarResult:
         if v != 0:
             count = v * mu
             if count.denominator != 1:
-                raise SimplexError("lambda*_K optimum is not integral at mu")
+                raise CertificateError("lambda*_K optimum is not integral at mu")
             mult[cliques[j]] = int(count)
     partition = CliquePartition(
         mu, tuple(c for c, k in sorted(mult.items()) for _ in range(k))
@@ -275,7 +277,7 @@ def lambda_star_K(g: SimpleGraph) -> LambdaStarResult:
     r_u, r, _ = clique_partition_stats(partition, g)
     value = -sol.objective
     if clique_partition_bound(partition, g) != value or Q(-r, mu) != value:
-        raise SimplexError("lambda*_K certificate failed to re-validate")
+        raise CertificateError("lambda*_K certificate failed to re-validate")
     return LambdaStarResult(value, mu, mult, tuple(r_u), sol.pivots)
 
 
@@ -283,27 +285,70 @@ def lambda_star_K(g: SimpleGraph) -> LambdaStarResult:
 # lambda*_C: signed complete graph decompositions
 
 
-def _complete_column_shapes(n: int):
-    """(kind, subset) for every complete graph on a subset of 0..n-1."""
+_SIGNED = (("K", 2), ("J", 1))  # the only shapes with a negative column
 
-    shapes = []
-    verts = range(n)
+
+@lru_cache(maxsize=None)  # one model per order n <= 12; n = 12 holds about 8 MB
+def _complete_model(n: int):
+    """The lambda*_C model on n vertices, with every right-hand side zero.
+
+    Rows: one equality per pair u < v, one per loop u, then one >= 0 row per
+    vertex.  Columns: lambda+ and lambda-, then per subset S a +K_S (|S| >=
+    2) and a +J_S column, with a -K_2 and a -J_1 column after their plus
+    ones.  Returns the model, its pieces as (variable, kind, subset, sign),
+    and the variables of the signed K_2 and J_1 keyed by (subset, sign).
+    """
+
+    lp = RationalLP(maximize=True)
+    lam_p = lp.variable(obj=1)
+    lam_m = lp.variable(obj=-1)
+    pairs = {p: {} for p in combinations(range(n), 2)}
+    loops = [{} for _ in range(n)]
+    loads = [{lam_p: -1, lam_m: 1} for _ in range(n)]
+    pieces = []
     for size in range(1, n + 1):
-        for s in combinations(verts, size):
-            if size >= 2:
-                shapes.append(("K", s))
-            shapes.append(("J", s))
-    return shapes
+        for s in combinations(range(n), size):
+            for kind in ("K", "J") if size >= 2 else ("J",):
+                for sign in (1, -1) if (kind, size) in _SIGNED else (1,):
+                    j = lp.variable()
+                    pieces.append((j, kind, s, sign))
+                    load = int(complete_lambda(kind, size, Q(sign)))
+                    for u in s:
+                        if load:
+                            loads[u][j] = load
+                        if kind == "J":
+                            loops[u][j] = sign
+                    for p in combinations(s, 2):
+                        pairs[p][j] = sign
+    for coeffs in pairs.values():
+        lp.add_eq(coeffs, 0)
+    for coeffs in loops:
+        lp.add_eq(coeffs, 0)
+    for coeffs in loads:
+        lp.add_ge(coeffs, 0)
+    signed = {(s, sign): j for j, kind, s, sign in pieces if (kind, len(s)) in _SIGNED}
+    return lp, tuple(pieces), signed
 
 
 def lambda_star_C(h) -> LambdaStarResult:
     """Best complete-graph-decomposition bound for a weighted graph.
 
-    Columns are all complete graphs on vertex subsets, looped and simple,
-    split into positive and negative parts (scaling by a negative number
-    turns the largest eigenvalue into the smallest, so the two parts carry
-    different eigenvalue coefficients).  Maximises lambda subject to exact
-    weight matching on every unordered pair including loops.
+    Maximises lambda = lambda+ - lambda- over H = sum of a_S K_S and b_S J_S
+    with every pair and loop weight matched exactly and every vertex's sum
+    of piece minima at least lambda.  Scaling by a < 0 turns the largest
+    eigenvalue into the smallest, so the sign of a piece sets its
+    coefficient in the vertex rows: +K_s has minimum -1, +J_s 0 (1 for
+    s = 1), -K_s -(s-1) and -J_s -s.
+
+    Only K_2 and J_1 get a negative column.  For a > 0, -a K_S has the same
+    matrix and the same per-vertex minima as -a K_2 on each of its pairs,
+    and -a J_S the same as those pairs plus -a J_1 on each vertex, so every
+    larger negative piece is a sum of these columns and the optimum is
+    unchanged: H = P - N with P a nonnegative sum of K_S and J_S and N a
+    nonnegative weighted graph with loops.  The model for each order is
+    built once (_complete_model); a call sets the right-hand sides from h,
+    starts from one signed K_2 per pair and one signed J_1 per vertex, and
+    re-validates the scaled integer certificate through decomposition_bound.
     """
 
     h = as_weighted(h)
@@ -312,67 +357,28 @@ def lambda_star_C(h) -> LambdaStarResult:
         raise ValueError(f"lambda*_C capped at n <= {MAX_COMPLETE_ORDER}")
     if n == 0:
         raise ValueError("lambda*_C needs at least one vertex")
-    shapes = _complete_column_shapes(n)
-
-    lp = RationalLP(maximize=True)
-    lam_p = lp.variable(obj=1)
-    lam_m = lp.variable(obj=-1)
-    plus = []
-    minus = []
-    for _ in shapes:
-        plus.append(lp.variable())
-        minus.append(lp.variable())
-
-    pair_coeffs = {}
-    loop_coeffs = {u: {} for u in range(n)}
-    vertex_coeffs = {u: {lam_p: Q(-1), lam_m: Q(1)} for u in range(n)}
-    for (u, v) in combinations(range(n), 2):
-        pair_coeffs[(u, v)] = {}
-    for j, (kind, s) in enumerate(shapes):
-        # lambda of the +1 and the -1 piece, for the vertex rows
-        lp_pos = complete_lambda(kind, len(s), Q(1))
-        lp_neg = complete_lambda(kind, len(s), Q(-1))
-        for u in s:
-            if lp_pos != 0:
-                vertex_coeffs[u][plus[j]] = lp_pos
-            if lp_neg != 0:
-                vertex_coeffs[u][minus[j]] = lp_neg
-            if kind == "J":
-                loop_coeffs[u][plus[j]] = Q(1)
-                loop_coeffs[u][minus[j]] = Q(-1)
-        for a, b in combinations(s, 2):
-            pair_coeffs[(a, b)][plus[j]] = Q(1)
-            pair_coeffs[(a, b)][minus[j]] = Q(-1)
-
-    pair_rows = {}
-    for (u, v), coeffs in pair_coeffs.items():
-        pair_rows[(u, v)] = lp.add_eq(coeffs, h.weight(u, v))
-    loop_rows = {}
-    for u in range(n):
-        loop_rows[u] = lp.add_eq(loop_coeffs[u], h.weight(u, u))
-    vertex_rows = [lp.add_ge(vertex_coeffs[u], 0) for u in range(n)]
+    model, pieces, signed = _complete_model(n)
+    pairs = list(combinations(range(n), 2))
+    lp = model.with_rhs(
+        [h.weight(u, v) for u, v in pairs] + [h.weight(u, u) for u in range(n)] + [0] * n
+    )
 
     # warm start: one signed 2-clique per pair, one signed loop per vertex
-    shape_index = {sh: j for j, sh in enumerate(shapes)}
     basis = []
     start_sum = [QZERO] * n
-    for (u, v) in combinations(range(n), 2):
+    for u, v in pairs:
         w = h.weight(u, v)
-        j = shape_index[("K", (u, v))]
-        basis.append(plus[j] if w >= 0 else minus[j])
-        start_sum[u] = start_sum[u] - abs(w)
-        start_sum[v] = start_sum[v] - abs(w)
+        basis.append(signed[((u, v), 1 if w >= 0 else -1)])
+        start_sum[u] -= abs(w)
+        start_sum[v] -= abs(w)
     for u in range(n):
         w = h.weight(u, u)
-        j = shape_index[("J", (u,))]
-        basis.append(plus[j] if w >= 0 else minus[j])
-        start_sum[u] = start_sum[u] + w
+        basis.append(signed[((u,), 1 if w >= 0 else -1)])
+        start_sum[u] += w
     lam0 = min(start_sum)
     u_star = start_sum.index(lam0)
-    basis.append(lam_m if lam0 <= 0 else lam_p)
-    basis.extend(
-        lp.slack_index(vertex_rows[u]) for u in range(n) if u != u_star
-    )
+    basis.append(1 if lam0 <= 0 else 0)  # variable 1 is lambda-, 0 is lambda+
+    basis.extend(lp.slack_index(len(pairs) + n + u) for u in range(n) if u != u_star)
 
     sol = lp.solve(start_basis=basis)
     if sol.status != OPTIMAL:
@@ -380,20 +386,20 @@ def lambda_star_C(h) -> LambdaStarResult:
     value = sol.objective
 
     nets = {}
-    for j, sh in enumerate(shapes):
-        a = sol.x[plus[j]] - sol.x[minus[j]]
-        if a != 0:
-            nets[sh] = a
+    for j, kind, s, sign in pieces:
+        if sol.x[j]:
+            nets[(kind, s)] = nets.get((kind, s), QZERO) + sign * sol.x[j]
+    nets = {sh: a for sh, a in nets.items() if a}
     mu = denominator_lcm(nets.values())
     mult = {}
-    pieces = []
+    decomp_pieces = []
     for sh in sorted(nets, key=lambda s: (s[0], len(s[1]), s[1])):
         count = nets[sh] * mu
         if count.denominator != 1:
-            raise SimplexError("lambda*_C optimum is not integral at mu")
+            raise CertificateError("lambda*_C optimum is not integral at mu")
         mult[sh] = int(count)
-        pieces.append(complete_piece(sh[0], sh[1], count))
-    bound = decomposition_bound(decomposition(scale(h, mu), pieces))
+        decomp_pieces.append(complete_piece(sh[0], sh[1], count))
+    bound = decomposition_bound(decomposition(scale(h, mu), decomp_pieces))
     if bound.exact != value * mu:
-        raise SimplexError("lambda*_C certificate failed to re-validate")
+        raise CertificateError("lambda*_C certificate failed to re-validate")
     return LambdaStarResult(value, mu, mult, bound.per_vertex_exact, sol.pivots)

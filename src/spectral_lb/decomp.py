@@ -39,6 +39,14 @@ class DecompositionError(ValueError):
     """Raised when a claimed decomposition or partition fails to validate."""
 
 
+class CertificateError(RuntimeError):
+    """Raised when a computed certificate or a theorem's check fails.
+
+    Unlike DecompositionError, which rejects an input, this is a fault of
+    the computation itself.
+    """
+
+
 # ---------------------------------------------------------------------------
 # general weighted decompositions
 
@@ -275,7 +283,7 @@ def _verify_conditions_exact(d, lambdas, table, x):
     lam_d = min(table)
     for u, t in enumerate(table):
         if t != lam_d and x[u] != 0:
-            raise AssertionError("certificate violates the support condition")
+            raise CertificateError("certificate violates the support condition")
     for piece, pl in zip(d.pieces, lambdas):
         emb = piece.embedding
         xj = [x[u] for u in emb]
@@ -287,7 +295,7 @@ def _verify_conditions_exact(d, lambdas, table, x):
             for j in range(piece.graph.n):
                 acc = acc + aj[i][j] * xj[j]
             if acc != 0:
-                raise AssertionError("certificate restriction is not a minimum eigenvector")
+                raise CertificateError("certificate restriction is not a minimum eigenvector")
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +461,9 @@ def essential_vertices(k: CliquePartition, g: SimpleGraph) -> EssentialReduction
     kstar = CliquePartition(k.mu, tuple(restricted))
     star_r_u, star_r, _ = clique_partition_stats(kstar, gstar)
     if any(x != r for x in star_r_u):
-        raise AssertionError("restricted partition lost the constant r property")
+        raise CertificateError("restricted partition lost the constant r property")
     if star_r != r:
-        raise AssertionError("restricted partition changed r")
+        raise CertificateError("restricted partition changed r")
     return EssentialReduction(vstar, kstar, gstar)
 
 

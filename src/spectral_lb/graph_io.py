@@ -148,15 +148,36 @@ def graph_from_json(doc: dict):
         raise ParseError("missing or bad vertex count")
     try:
         if kind == "simple":
-            return build_simple(n, [tuple(e) for e in doc["edges"]])
+            return build_simple(n, [_endpoints(u, v) for u, v in doc["edges"]])
         if kind == "multigraph":
-            return build_multigraph(n, {(u, v): m for u, v, m in doc["mult"]})
+            mult = {}
+            for u, v, m in doc["mult"]:
+                if not _is_int(m):
+                    raise ValueError(f"multiplicity must be an integer, not {m!r}")
+                mult[_endpoints(u, v)] = m
+            return build_multigraph(n, mult)
         if kind == "weighted":
-            weights = {(u, v): parse_q(w) for u, v, w in doc["weights"]}
+            weights = {_endpoints(u, v): _weight(w) for u, v, w in doc["weights"]}
             return build_weighted(n, weights, labels=doc.get("labels"))
     except (ValueError, KeyError, TypeError) as exc:
         raise ParseError(f"bad graph document: {exc}")
     raise ParseError(f"unknown graph type: {kind!r}")
+
+
+def _endpoints(u, v) -> tuple[int, int]:
+    if not (_is_int(u) and _is_int(v)):
+        raise ValueError(f"vertices must be integers, not {u!r} and {v!r}")
+    return u, v
+
+
+def _weight(w):
+    """An exact weight: an integer or a 'p/q' string, never a float or boolean."""
+
+    if _is_int(w):
+        return Q(w)
+    if isinstance(w, str):
+        return parse_q(w)
+    raise ValueError(f"weight must be an integer or a 'p/q' string, not {w!r}")
 
 
 def load_graph_text(text: str):

@@ -442,6 +442,14 @@ class RationalLP:
         self.rows.append((dict(coeffs), ">=", rhs))
         return len(self.rows) - 1
 
+    def with_rhs(self, rhs):
+        """This model with new right-hand sides; the row coefficients are shared."""
+
+        lp = RationalLP(self.maximize)
+        lp.obj = list(self.obj)
+        lp.rows = [(coeffs, rel, b) for (coeffs, rel, _), b in zip(self.rows, rhs, strict=True)]
+        return lp
+
     def slack_index(self, row_id):
         """Standard-form column index of the slack/surplus of a <=/>= row."""
 

@@ -5,8 +5,10 @@ import json
 import pytest
 
 from spectral_lb.cli import main
+from spectral_lb.decomp import CertificateError
 from spectral_lb.graph_io import format_edge_list
 from spectral_lb.catalog import petersen
+from spectral_lb.simplex import SimplexError
 
 
 def run(capsys, *argv):
@@ -84,6 +86,29 @@ def test_lambda_star_commands(tmp_path, capsys):
     assert doc["mu"] == 1 and doc["value"] == "-2"
     code, out, _ = run(capsys, "lambda-star-c", str(gp))
     assert code == 0 and "lambda*_C = -2" in out
+
+
+def test_spectrum_json_integer_weight(tmp_path, capsys):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"fmt": 1, "type": "weighted", "n": 2, "weights": [[0, 1, 1]]}))
+    code, out, _ = run(capsys, "spectrum", str(path))
+    assert code == 0
+    assert [float(line.split()[0]) for line in out.strip().splitlines()] == [-1.0, 1.0]
+
+
+@pytest.mark.parametrize("error", [CertificateError, SimplexError])
+def test_failed_check_exits_1_with_one_line(tmp_path, capsys, monkeypatch, error):
+    import spectral_lb.cli as cli
+
+    def broken(g):
+        raise error("certificate failed to re-validate")
+
+    monkeypatch.setattr(cli, "lambda_star_C", broken)
+    gp = tmp_path / "pet.txt"
+    gp.write_text(format_edge_list(petersen()))
+    code, out, err = run(capsys, "lambda-star-c", str(gp))
+    assert code == 1 and out == ""
+    assert err == "check failed: certificate failed to re-validate\n"
 
 
 def test_reproduce_roundtrip(tmp_path, capsys):

@@ -32,7 +32,7 @@ from spectral_lb.decomp import (
     clique_partition_bound,
     validate_partition,
 )
-from spectral_lb.graphs import build_simple
+from spectral_lb.graphs import build_simple, build_weighted
 from spectral_lb.rationals import Q
 from spectral_lb.spectra import lambda_min
 
@@ -290,16 +290,12 @@ def test_lambda_star_c_multipartite_at_least_minus_largest_part():
 
 
 def test_lambda_star_c_weighted_input():
-    from spectral_lb.graphs import build_weighted
-
     h = build_weighted(2, {(0, 1): Q(3, 2)})
     res = lambda_star_C(h)
     assert res.value == Q(-3, 2)
 
 
 def test_lambda_star_c_loops():
-    from spectral_lb.graphs import build_weighted
-
     h = build_weighted(1, {(0, 0): Q(2)})
     assert lambda_star_C(h).value == Q(2)
     h2 = build_weighted(2, {(0, 0): Q(-1), (0, 1): Q(1)})
@@ -317,12 +313,22 @@ def test_chain_on_atlas_sample(rng):
         assert float(c.value) <= lam + 1e-8
 
 
+def _random_signed_weighted(rng, n):
+    # rational weights of both signs, loops included
+    weights = {}
+    for u in range(n):
+        for v in range(u, n):
+            if rng.random() < 0.6:
+                weights[(u, v)] = Q(rng.randint(-6, 6), rng.randint(1, 3))
+    return build_weighted(n, weights)
+
+
 def test_lambda_star_c_against_float_lp_oracle(rng):
-    # independent solver: the same model handed to scipy's HiGHS in floats
+    # independent solver: every signed K_S and J_S column, handed to
+    # scipy's HiGHS in floats
     import numpy as np
     from scipy.optimize import linprog
 
-    from spectral_lb.cliqopt import _complete_column_shapes
     from spectral_lb.graphs import as_weighted
 
     def piece_lambdas(kind, s):
@@ -334,7 +340,13 @@ def test_lambda_star_c_against_float_lp_oracle(rng):
     def float_opt(g):
         h = as_weighted(g)
         n = h.n
-        shapes = _complete_column_shapes(n)
+        shapes = [
+            (kind, s)
+            for size in range(1, n + 1)
+            for s in combinations(range(n), size)
+            for kind in ("K", "J")
+            if kind == "J" or size >= 2
+        ]
         pairs = list(combinations(range(n), 2)) + [(u, u) for u in range(n)]
         pi = {p: i for i, p in enumerate(pairs)}
         nv = 2 * len(shapes) + 2
@@ -366,8 +378,43 @@ def test_lambda_star_c_against_float_lp_oracle(rng):
 
     cases = [cycle(5), complete_multipartite([2, 1]), complete_multipartite([3, 2])]
     cases += [random_connected_graph(rng, rng.randint(2, 6)) for _ in range(3)]
+    cases += [_random_signed_weighted(rng, rng.randint(1, 5)) for _ in range(6)]
+    cases.append(build_weighted(3, {(0, 0): Q(-2), (0, 1): Q(-1), (1, 2): Q(5, 2), (2, 2): Q(1)}))
     for g in cases:
         assert float(lambda_star_C(g).value) == pytest.approx(float_opt(g), abs=1e-7)
+
+
+def test_lambda_star_c_negative_pieces_are_edges_and_loops(rng):
+    # a larger negative piece is a sum of -K_2 and -J_1 pieces, so the LP has no column for it
+    cases = [cycle(5), petersen(), complete_multipartite([3, 2]), complete_multipartite([2, 2, 1])]
+    cases += [_random_signed_weighted(rng, rng.randint(2, 6)) for _ in range(8)]
+    negatives = 0
+    for h in cases:
+        for (kind, s), a in lambda_star_C(h).multiplicities.items():
+            if a < 0:
+                negatives += 1
+                assert (kind, len(s)) in (("K", 2), ("J", 1))
+    assert negatives > 0
+
+
+def test_lambda_star_c_same_order_calls_are_independent(rng):
+    # the model of an order is built once; one graph's solve must not leak into the next
+    a = complete_multipartite([3, 3])
+    b = _random_signed_weighted(rng, 6)
+    first = lambda_star_C(a)
+    lambda_star_C(b)
+    assert lambda_star_C(a) == first
+
+
+def test_lambda_star_c_cached_model_keeps_zero_rhs():
+    from spectral_lb.cliqopt import _complete_model
+
+    h = build_weighted(4, {(0, 1): Q(3, 2), (2, 2): Q(-1), (1, 3): Q(-2), (0, 3): Q(1)})
+    lambda_star_C(h)
+    model, pieces, _ = _complete_model(4)
+    assert all(rhs == 0 for _, _, rhs in model.rows)
+    # +K_S for 11 subsets, +J_S for 15, then -K_2 for 6 pairs and -J_1 for 4 vertices
+    assert len(pieces) == 11 + 15 + 6 + 4 and len(model.obj) == len(pieces) + 2
 
 
 def test_chain_on_random_order_eight(rng):

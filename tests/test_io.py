@@ -135,6 +135,32 @@ def test_graph_document_boolean_order_rejected():
         graph_from_json({"fmt": 1, "type": "simple", "n": True, "edges": []})
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"fmt": 1, "type": "simple", "n": 3, "edges": [[True, 2]]},
+        {"fmt": 1, "type": "simple", "n": 3, "edges": [[0, 1.0]]},
+        {"fmt": 1, "type": "multigraph", "n": 3, "mult": [[False, 1, 2]]},
+        {"fmt": 1, "type": "multigraph", "n": 3, "mult": [[0, 1, True]]},
+        {"fmt": 1, "type": "multigraph", "n": 3, "mult": [[0, 1, 2.0]]},
+        {"fmt": 1, "type": "weighted", "n": 3, "weights": [[0, True, "1"]]},
+        {"fmt": 1, "type": "weighted", "n": 3, "weights": [[0, 1, True]]},
+        {"fmt": 1, "type": "weighted", "n": 3, "weights": [[0, 1, 0.5]]},
+    ],
+)
+def test_graph_document_booleans_and_floats_rejected(doc):
+    # true would load as vertex or count 1, and a float weight is not exact
+    with pytest.raises(ParseError):
+        graph_from_json(doc)
+
+
+def test_graph_document_integer_weights_are_exact():
+    doc = {"fmt": 1, "type": "weighted", "n": 3, "weights": [[0, 1, 1], [1, 1, -2], [0, 2, "3/2"]]}
+    g = graph_from_json(doc)
+    assert g.weights == {(0, 1): Q(1), (1, 1): Q(-2), (0, 2): Q(3, 2)}
+    assert graph_from_json(graph_to_json(g)) == g
+
+
 def test_certificate_documents():
     from spectral_lb.cliqopt import lambda_star_C, lambda_star_K
     from spectral_lb.catalog import octahedron

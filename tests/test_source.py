@@ -36,3 +36,15 @@ def test_no_unused_imports_in_package():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert not found, f"unused imports in the package: {sorted(found)}"
+
+
+def test_no_raise_assertion_error_in_package():
+    # a failed check raises CertificateError or SimplexError, which the CLI maps to exit 1
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(target, ast.Name) and target.id == "AssertionError":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"raise AssertionError in the package: {found}"
