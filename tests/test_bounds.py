@@ -1,9 +1,11 @@
 """Closed-form bound suite against oracles and known tight cases."""
 
 import math
+import random
 from itertools import combinations, product
 
 import pytest
+from networkx.generators.atlas import graph_atlas_g
 
 from corpus import connected_atlas, random_connected_graph
 from spectral_lb.bounds import (
@@ -34,6 +36,7 @@ from spectral_lb.catalog import (
     complete,
     complete_multipartite,
     cycle,
+    hamming,
     icosahedron,
     octahedron,
     petersen,
@@ -113,7 +116,8 @@ def _beta_brute(g):
     edges = g.edges()
     degs = g.degrees()
     for assign in product((0, 1, 2), repeat=g.n):
-        if not any(assign):
+        den = sum(degs[v] for v in range(g.n) if assign[v])
+        if not den:  # S empty or isolated vertices only
             continue
         num = 0
         for u, v in edges:
@@ -123,17 +127,66 @@ def _beta_brute(g):
                     num += 2
             elif au or av:
                 num += 1
-        den = sum(degs[v] for v in range(g.n) if assign[v])
         r = Q(num, den)
         if best is None or r < best:
             best = r
     return best
 
 
-def test_bipartiteness_ratio_matches_brute(rng):
-    for _ in range(8):
-        g = random_connected_graph(rng, rng.randint(2, 6))
-        assert bipartiteness_ratio(g).ratio == _beta_brute(g)
+def _witness_ratio(g, wit):
+    """(2e(L) + 2e(R) + e(S, V-S)) / vol(S), recomputed from left and right alone."""
+
+    left, right = set(wit.left), set(wit.right)
+    assert not left & right
+    s = left | right
+    assert wit.subset == tuple(sorted(s))
+    num = 0
+    for u, v in g.edges():
+        if (u in left and v in left) or (u in right and v in right):
+            num += 2
+        elif (u in s) != (v in s):
+            num += 1
+    degs = g.degrees()
+    return Q(num, sum(degs[v] for v in s))
+
+
+def _relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return build_simple(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_bipartiteness_ratio_matches_brute():
+    # every graph on 1-6 vertices with an edge, disconnected ones included
+    count = 0
+    for h in graph_atlas_g():
+        if not 1 <= h.number_of_nodes() <= 6 or not h.number_of_edges():
+            continue
+        g = build_simple(h.number_of_nodes(), list(h.edges()))
+        wit = bipartiteness_ratio(g)
+        assert wit.ratio == _beta_brute(g), list(h.edges())
+        assert _witness_ratio(g, wit) == wit.ratio
+        count += 1
+    assert count == 202
+
+
+@pytest.mark.parametrize(
+    "g, beta",
+    [
+        (circulant(13, 3), Q(1, 3)),
+        (circulant(14, 3), Q(1, 3)),
+        (hamming((2, 6)), Q(1, 3)),
+        (icosahedron(), Q(1, 3)),
+        (prism(7), Q(2, 21)),
+    ],
+    ids=["circulant(13,3)", "circulant(14,3)", "hamming(2,6)", "icosahedron", "prism(7)"],
+)
+def test_bipartiteness_ratio_at_the_cap(g, beta):
+    for seed in (1, 2):
+        h = _relabelled(g, seed)
+        wit = bipartiteness_ratio(h)
+        assert wit.ratio == beta
+        assert _witness_ratio(h, wit) == beta
 
 
 def test_bipartiteness_known_values():
@@ -146,6 +199,7 @@ def test_bipartiteness_witness_consistent():
     wit = bipartiteness_ratio(cycle(5))
     assert set(wit.left) | set(wit.right) == set(wit.subset)
     assert not set(wit.left) & set(wit.right)
+    assert _witness_ratio(cycle(5), wit) == wit.ratio
 
 
 def test_trevisan():
@@ -387,3 +441,11 @@ def test_bound_report_shrikhande_lp_gap():
     names = {en.name: en for en in rep.entries}
     assert names["lambda_star_K"].exact == Q(-3)
     assert rep.lam == pytest.approx(-2, abs=1e-9)
+
+
+def test_bound_report_trevisan_cap():
+    names = {en.name for en in bound_report(circulant(14, 2)).entries}
+    assert "trevisan" in names
+    rep = bound_report(circulant(15, 2))
+    assert "trevisan" not in {en.name for en in rep.entries}
+    assert ("trevisan", "n = 15 exceeds the cap n <= 14") in rep.skipped
