@@ -47,6 +47,8 @@ def _cmd_catalog(args) -> int:
         for name, schema in cat.catalog_names():
             print(f"{name} {schema}".rstrip())
         return EXIT_OK
+    if args.name is None:
+        raise ValueError("catalog get needs a graph name (see: spectral-lb catalog list)")
     g = cat.named_graph(args.name, tuple(args.params))
     sys.stdout.write(format_edge_list(g))
     return EXIT_OK

