@@ -39,9 +39,9 @@ from .spectra import lambda_min, lambda_max
 MAX_BETA_ORDER = 14
 MAX_ORBIT_ORDER = 10
 # the complete-decomposition LP supports n <= 12; on a 2-core machine with
-# Python 3.11, lambda*_C took 1.6 s on the Petersen graph, 3.3 s on
-# circulant(11, 2) and 13.5 s on the icosahedron, so a report keeps it
-# to n <= 10 rather than spend seconds to tens of seconds per graph
+# Python 3.11, lambda*_C took 1.0 s on the Petersen graph, 1.3 s on
+# circulant(11, 2) and 3.9 s on the icosahedron, so a report keeps it
+# to n <= 10 rather than spend seconds on every graph of order 11 or 12
 REPORT_COMPLETE_ORDER = 10
 
 

@@ -44,6 +44,8 @@ def _read_graph(path: str):
 
 def _cmd_catalog(args) -> int:
     if args.action == "list":
+        if args.name is not None:
+            raise ValueError("catalog list takes no graph name or parameters")
         for name, schema in cat.catalog_names():
             print(f"{name} {schema}".rstrip())
         return EXIT_OK
@@ -94,22 +96,19 @@ def _cmd_bounds(args) -> int:
         ],
         "skipped": [{"name": name, "reason": reason} for name, reason in rep.skipped],
     }
-    as_json = json.dumps(doc, indent=2, sort_keys=True)
-    if args.json and not args.all:
-        print(as_json)
-        return EXIT_OK
-    print(f"graph {rep.graph}: n={rep.n} m={rep.m} lambda={rep.lam:.12f}")
-    names = [en.name for en in rep.entries] + [name for name, _ in rep.skipped]
-    width = max(map(len, names), default=4)
-    for en in rep.entries:
-        exact = f" = {format_q(en.exact)}" if en.exact is not None else ""
-        tight = " tight" if en.tight else ""
-        note = f" [{en.note}]" if en.note else ""
-        print(f"  {en.name.ljust(width)}  {en.kind:5s}  {en.value:+.12f}{exact}{tight}{note}")
-    for name, reason in rep.skipped:
-        print(f"  {name.ljust(width)}  skipped [{reason}]")
-    if args.all:
-        print(as_json)
+    if args.json:
+        print(json.dumps(doc, indent=2, sort_keys=True))
+    else:
+        print(f"graph {rep.graph}: n={rep.n} m={rep.m} lambda={rep.lam:.12f}")
+        names = [en.name for en in rep.entries] + [name for name, _ in rep.skipped]
+        width = max(map(len, names), default=4)
+        for en in rep.entries:
+            exact = f" = {format_q(en.exact)}" if en.exact is not None else ""
+            tight = " tight" if en.tight else ""
+            note = f" [{en.note}]" if en.note else ""
+            print(f"  {en.name.ljust(width)}  {en.kind:5s}  {en.value:+.12f}{exact}{tight}{note}")
+        for name, reason in rep.skipped:
+            print(f"  {name.ljust(width)}  skipped [{reason}]")
     bad = [
         en
         for en in rep.entries
@@ -176,10 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("graph")
     pb.add_argument("--partition", help="clique partition JSON file")
     pb.add_argument("--lp", action="store_true", help="include the LP bounds")
-    pb.add_argument("--json", action="store_true", help="JSON output only")
-    pb.add_argument(
-        "--all", action="store_true", help="emit both the text table and the JSON report"
-    )
+    pb.add_argument("--json", action="store_true", help="JSON output instead of the table")
     pb.set_defaults(func=_cmd_bounds)
 
     pk = sub.add_parser("lambda-star-k", help="best clique-partition bound")

