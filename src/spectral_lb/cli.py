@@ -26,7 +26,7 @@ from .graph_io import (
 from .rationals import format_q
 from .reproduce import build_rows, format_table, rows_to_json
 from .simplex import SimplexError
-from .spectra import spectrum, verified_integer_eigenvalues
+from .spectra import EXACT_MAX_ORDER, spectrum, verified_integer_eigenvalues
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -60,7 +60,7 @@ def _cmd_spectrum(args) -> int:
     g = _read_graph(args.graph)
     spec = spectrum(g.adjacency(dtype=float))
     exact = set()
-    if g.n <= 64:
+    if g.n <= EXACT_MAX_ORDER:
         exact = set(verified_integer_eigenvalues(g.adjacency(dtype=object)))
     for v in spec.values:
         flag = ""
@@ -167,7 +167,15 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("params", nargs="*", help="constructor parameters")
     pc.set_defaults(func=_cmd_catalog)
 
-    ps = sub.add_parser("spectrum", help="sorted eigenvalues of a graph file")
+    ps = sub.add_parser(
+        "spectrum",
+        help="sorted eigenvalues of a graph file",
+        description=(
+            "Print the eigenvalues in ascending order.  On graphs with at most "
+            f"{EXACT_MAX_ORDER} vertices, an eigenvalue that is an integer is "
+            "certified by exact elimination and marked '(= k, exact)'."
+        ),
+    )
     ps.add_argument("graph", help="edge-list or JSON file ('-' for stdin)")
     ps.set_defaults(func=_cmd_spectrum)
 

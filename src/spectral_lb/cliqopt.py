@@ -198,7 +198,7 @@ def fractional_chromatic(g: SimpleGraph):
     lp = RationalLP()
     xs = [lp.variable(obj=1) for _ in ind_sets]
     for u in range(g.n):
-        lp.add_ge({xs[j]: Q(1) for j, s in enumerate(ind_sets) if s >> u & 1}, 1)
+        lp.add_ge({xs[j]: 1 for j, s in enumerate(ind_sets) if s >> u & 1}, 1)
     sol = lp.solve()
     if sol.status != OPTIMAL:
         raise SimplexError(f"fractional chromatic LP came back {sol.status}")
@@ -247,9 +247,9 @@ def lambda_star_K(g: SimpleGraph) -> LambdaStarResult:
     lp = RationalLP()
     z = [lp.variable() for _ in cliques]
     t = lp.variable(obj=1)
-    edge_rows = [lp.add_eq({z[j]: Q(1) for j in by_edge[e]}, 1) for e in edges]
+    edge_rows = [lp.add_eq({z[j]: 1 for j in by_edge[e]}, 1) for e in edges]
     vertex_rows = [
-        lp.add_le({**{z[j]: Q(1) for j in by_vertex[u]}, t: Q(-1)}, 0)
+        lp.add_le({**{z[j]: 1 for j in by_vertex[u]}, t: -1}, 0)
         for u in range(g.n)
     ]
 

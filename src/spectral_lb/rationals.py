@@ -2,9 +2,10 @@
 
 All graph weights and certificates are kept in exact rationals; floating
 point only ever appears inside the eigensolver and in the simplex's
-candidate ranking.  Elimination (the simplex basis inverse, kernels, the
-exact PSD test) runs fraction-free over integers through bareiss_step,
-so rationals (``fractions.Fraction``) appear only at the API boundary.
+candidate ranking.  Elimination (the simplex basis inverse, kernels,
+ranks, the exact PSD test) runs fraction-free over integers through
+bareiss_step, and all but the PSD test through bareiss_eliminate, so
+rationals (``fractions.Fraction``) appear only at the API boundary.
 """
 
 from __future__ import annotations
@@ -117,3 +118,42 @@ def bareiss_step(rows, r, col, prev, targets=None) -> None:
             rows[i] = row
         else:
             rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], prow)]
+
+
+def bareiss_eliminate(rows, jordan=True) -> tuple[dict[int, int], int]:
+    """Fraction-free elimination of integer rows in place, column by column.
+
+    Returns ({pivot column: its row}, last pivot).  Each pivot is one
+    bareiss_step on every other row (jordan: Gauss-Jordan, after which
+    each pivot column is the last pivot times a unit vector, the reduced
+    row echelon form over that pivot) or on the rows below it only
+    (forward elimination, which is enough for the rank).  The pivot of a
+    column is the first remaining row whose entry is +-prev, a row holding
+    -prev being negated first, so that the step takes bareiss_step's
+    sparse update; with no such row, the first nonzero one.  Negating a
+    row is negating a row of the input, so every entry stays a minor and
+    every division exact; and since swapping and negating rows moves
+    neither the rank nor the row space, the reduced row echelon form, or
+    the adjugate |det B| B^-1 read off [B | I], is the same whichever row
+    wins.
+    """
+
+    nrows = len(rows)
+    pivots: dict[int, int] = {}
+    prev = 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == nrows:
+            break
+        live = [i for i in range(r, nrows) if rows[i][c]]
+        if not live:
+            continue
+        pr = next((i for i in live if abs(rows[i][c]) == abs(prev)), live[0])
+        if rows[pr][c] == -prev:
+            rows[pr] = [-x for x in rows[pr]]
+        rows[r], rows[pr] = rows[pr], rows[r]
+        bareiss_step(rows, r, [row[c] for row in rows], prev,
+                     targets=None if jordan else range(r + 1, nrows))
+        prev = rows[r][c]
+        pivots[c] = r
+    return pivots, prev

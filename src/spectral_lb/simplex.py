@@ -37,7 +37,7 @@ from math import lcm
 
 import numpy as np
 
-from .rationals import Q, QZERO, bareiss_step, denom, integer_row, numer
+from .rationals import Q, QZERO, bareiss_eliminate, bareiss_step, denom, integer_row, numer
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -61,24 +61,21 @@ class LPSolution:
 def _invert(columns, basis, m):
     """(A^, D) with A^ B = D I and D = |det B| > 0, or None when singular.
 
-    Fraction-free Gauss-Jordan on [B | I] over integer columns.
+    Fraction-free Gauss-Jordan on [B | I] over integer columns
+    (bareiss_eliminate).  B is singular exactly when some pivot falls in
+    the I block.
     """
 
     rows = [[0] * m + [1 if i == k else 0 for k in range(m)] for i in range(m)]
     for j, col_idx in enumerate(basis):
         for r, v in columns[col_idx]:
             rows[r][j] = v
-    prev = 1
-    for col in range(m):
-        piv = next((r for r in range(col, m) if rows[r][col] != 0), None)
-        if piv is None:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        bareiss_step(rows, col, [row[col] for row in rows], prev)
-        prev = rows[col][col]
-    if prev < 0:
-        return [[-x for x in row[m:]] for row in rows], -prev
-    return [row[m:] for row in rows], prev
+    pivots, det = bareiss_eliminate(rows)
+    if any(c >= m for c in pivots):
+        return None
+    if det < 0:
+        return [[-x for x in row[m:]] for row in rows], -det
+    return [row[m:] for row in rows], det
 
 
 class _Core:

@@ -3,15 +3,20 @@
 Eigenvalues come from LAPACK (numpy.linalg.eigh) on the floating image
 of the matrix, which delivers the full spectrum with orthonormal
 eigenvectors; they serve as hints and displayed values.  Exact claims
-such as "-2 is the smallest eigenvalue" never rest on floating point:
-they are certified with exact elimination (eigenvalue membership) plus
-an exact LDL^T positive-semidefiniteness check of the shifted matrix,
-both fraction-free over integers.
+such as "-2 is the smallest eigenvalue" never rest on floating point.
+All exact work runs fraction-free over integers on s A, with s the lcm
+of the entries' denominators, through rationals.bareiss_step: r is an
+eigenvalue when the rank of s (A - rI), from forward elimination, is
+below n, and r is the smallest one when a single LDL^T finds s (A - rI)
+positive semidefinite and singular.  Only kernel vectors, which the
+decomposition certificates read, need the full Gauss-Jordan
+rational_nullspace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 import numpy as np
 
@@ -20,6 +25,7 @@ from .rationals import (
     Q,
     QZERO,
     as_q,
+    bareiss_eliminate,
     bareiss_step,
     denom,
     denominator_lcm,
@@ -28,6 +34,8 @@ from .rationals import (
 )
 
 MAX_ORDER = 2048
+# `spectral-lb spectrum` certifies integer eigenvalues exactly up to this order
+EXACT_MAX_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -95,8 +103,11 @@ def lambda_max(g) -> float:
 # exact rational linear algebra
 
 
-def _q_matrix(mat) -> list[list]:
-    return [[as_q(x) for x in row] for row in mat]
+def _integer_matrix(mat) -> tuple[list[list[int]], int]:
+    """(s * mat as integer rows, s) with s the lcm of all the entries' denominators."""
+
+    s = denominator_lcm(x for row in mat for x in row)
+    return [[numer(x) * (s // denom(x)) for x in row] for row in mat], s
 
 
 def rational_nullspace(mat) -> list[list]:
@@ -105,43 +116,31 @@ def rational_nullspace(mat) -> list[list]:
     Returns a (possibly empty) list of rational vectors; the basis vectors
     carry a 1 in their free coordinate, so the result is deterministic.
     Rows are scaled to integers and reduced by fraction-free Gauss-Jordan
-    (one bareiss_step per pivot), which leaves every pivot entry equal to
-    the last pivot p, so the reduced row echelon form is the result over p.
+    (bareiss_eliminate), which leaves every pivot entry equal to the last
+    pivot p, so the reduced row echelon form is the result over p.
+    Callers that only need to know whether the kernel is trivial use
+    rational_rank instead.
     """
 
     a = [integer_row(row)[0] for row in mat]
-    if not a:
-        return []
-    nrows, ncols = len(a), len(a[0])
-    pivot_of_col: dict[int, int] = {}
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        bareiss_step(a, r, [row[c] for row in a], prev)
-        prev = a[r][c]
-        pivot_of_col[c] = r
-        r += 1
-        if r == nrows:
-            break
+    ncols = len(a[0]) if a else 0
+    pivots, prev = bareiss_eliminate(a)
     basis = []
-    free_cols = [c for c in range(ncols) if c not in pivot_of_col]
-    for fc in free_cols:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [QZERO] * ncols
         vec[fc] = Q(1)
-        for c, pr in pivot_of_col.items():
+        for c, pr in pivots.items():
             vec[c] = Q(-a[pr][fc], prev)
         basis.append(vec)
     return basis
 
 
 def rational_rank(mat) -> int:
-    if not mat:
-        return 0
-    return len(mat[0]) - len(rational_nullspace(mat))
+    """Rank of a rational matrix, each row scaled to integers, by forward elimination."""
+
+    return len(bareiss_eliminate([integer_row(row)[0] for row in mat], jordan=False)[0])
 
 
 def psd_check(p, tol: float = 1e-10):
@@ -161,18 +160,7 @@ def psd_check(p, tol: float = 1e-10):
     return False, spec.vectors[:, 0].copy()
 
 
-def psd_check_exact(mat) -> bool:
-    """Exact rational PSD decision by LDL^T with symmetric pivoting.
-
-    At each step the largest remaining diagonal entry is pivoted; a
-    negative diagonal entry, or a zero diagonal with a nonzero residual
-    row, certifies an indefinite matrix.  The matrix is scaled to integers
-    and eliminated fraction-free (bareiss_step), so the remaining block is
-    the rational Schur complement times the last pivot, which is a positive
-    principal minor: every sign and every ordering is the rational one.
-    """
-
-    a = _q_matrix(mat)
+def _require_symmetric(a) -> None:
     n = len(a)
     for i, row in enumerate(a):
         if len(row) != n:
@@ -180,37 +168,71 @@ def psd_check_exact(mat) -> bool:
         for j in range(i + 1, n):
             if row[j] != a[j][i]:
                 raise ValueError("matrix is not symmetric")
-    s = denominator_lcm(x for row in a for x in row)
-    a = [[numer(x) * (s // denom(x)) for x in row] for row in a]
-    active = list(range(n))
+
+
+def _psd_rank(a) -> int | None:
+    """Rank of a symmetric integer matrix when it is PSD, else None.
+
+    LDL^T with symmetric pivoting: at each step the largest remaining
+    diagonal entry is pivoted; a negative diagonal entry, or a zero
+    diagonal with a nonzero residual row, certifies an indefinite matrix.
+    Elimination is fraction-free (bareiss_step), so the remaining block is
+    the rational Schur complement times the last pivot, which is a positive
+    principal minor: every sign and every ordering is the rational one.
+    Each positive pivot adds one to the rank; the zero-diagonal exit leaves
+    a zero block, so a PSD matrix is singular exactly when it takes that
+    exit.  a is consumed.
+    """
+
+    active = list(range(len(a)))
     prev = 1
     while active:
         piv = max(active, key=lambda i: a[i][i])
         if a[piv][piv] < 0:
-            return False
+            return None
         if a[piv][piv] == 0:
-            # all remaining diagonals are <= 0 here, hence all are zero
-            for i in active:
-                if a[i][i] < 0:
-                    return False
-                for j in active:
-                    if a[i][j] != 0:
-                        return False
-            return True
+            # all remaining diagonals are <= 0 here, so PSD needs a zero block
+            if any(a[i][j] for i in active for j in active):
+                return None
+            return len(a) - len(active)
         active.remove(piv)
         bareiss_step(a, piv, [row[piv] for row in a], prev, targets=active)
         prev = a[piv][piv]
-    return True
+    return len(a)
+
+
+def psd_check_exact(mat) -> bool:
+    """Exact rational PSD decision: an LDL^T of the matrix scaled to integers (_psd_rank)."""
+
+    a, _ = _integer_matrix(mat)
+    _require_symmetric(a)
+    return _psd_rank(a) is not None
+
+
+def _singular_at(a, k) -> bool:
+    """Is the square integer matrix a - kI singular?  a is left as it is."""
+
+    b = [row[:] for row in a]
+    for i, row in enumerate(b):
+        row[i] -= k
+    return len(bareiss_eliminate(b, jordan=False)[0]) < len(b)
 
 
 def is_exact_eigenvalue(mat, r) -> bool:
-    """Exact membership test: is the rational r an eigenvalue of the matrix?"""
+    """Exact membership test: is the rational r an eigenvalue of the matrix?
 
-    a = _q_matrix(mat)
+    r is one exactly when t (A - rI) is singular, with t the lcm of the
+    denominators of A and r: an integer matrix whose rank comes from
+    fraction-free forward elimination.
+    """
+
+    a, s = _integer_matrix(mat)
+    if any(len(row) != len(a) for row in a):
+        raise ValueError("matrix must be square")
     r = as_q(r)
-    for i in range(len(a)):
-        a[i][i] = a[i][i] - r
-    return bool(rational_nullspace(a))
+    t = lcm(s, r.denominator)
+    a = [[x * (t // s) for x in row] for row in a]
+    return _singular_at(a, r.numerator * (t // r.denominator))
 
 
 def lambda_min_exact(mat, hint: float | None = None):
@@ -219,31 +241,38 @@ def lambda_min_exact(mat, hint: float | None = None):
     With s the lcm of the entries' denominators, s A is an integer matrix
     with a monic integer characteristic polynomial, so every rational
     eigenvalue of A is k/s for an integer k.  The one candidate
-    r = round(s * hint)/s wins when A - rI is exactly PSD and singular.
-    Returns the rational or None (an irrational minimum).  A rational
-    minimum is missed only when the float hint is off by at least 1/(2s),
-    which needs entries of s A near 2^50.
+    r = round(s * hint)/s wins when s A - kI is PSD and singular, which
+    one LDL^T decides (_psd_rank).  Returns the rational or None (an
+    irrational minimum).  A rational minimum is missed only when the float
+    hint is off by at least 1/(2s), which needs entries of s A near 2^50.
     """
 
-    a = _q_matrix(mat)
+    a, s = _integer_matrix(mat)
+    _require_symmetric(a)
     if hint is None:
-        hint = spectrum(a).lambda_min
-    s = denominator_lcm(x for row in a for x in row)
-    r = Q(round(s * hint), s)
-    for i in range(len(a)):
-        a[i][i] -= r
-    if psd_check_exact(a) and rational_nullspace(a):
-        return r
+        hint = spectrum(mat).lambda_min
+    k = round(s * hint)
+    for i, row in enumerate(a):
+        row[i] -= k
+    rank = _psd_rank(a)
+    if rank is not None and rank < len(a):
+        return Q(k, s)
     return None
 
 
 def verified_integer_eigenvalues(mat) -> list[int]:
-    """Integers that are certified (by exact elimination) to be eigenvalues."""
+    """Integers that are certified (by exact elimination) to be eigenvalues.
+
+    Each integer within 1e-8 of a LAPACK eigenvalue is a candidate r, and
+    is kept when s (A - rI) is singular (_singular_at), with the integer
+    image s A built once.
+    """
 
     spec = spectrum(mat)
+    a, s = _integer_matrix(mat)
     out = []
     for r in sorted({round(float(v)) for v in spec.values}):
         if any(abs(float(v) - r) < 1e-8 for v in spec.values):
-            if is_exact_eigenvalue(mat, Q(r)):
+            if _singular_at(a, s * r):
                 out.append(int(r))
     return out

@@ -41,6 +41,22 @@ def test_catalog_get_and_spectrum(tmp_path, capsys):
     assert lines[0].startswith("-2.000000000000") and "exact" in lines[0]
 
 
+def test_spectrum_exact_flags_stop_at_the_declared_cap(tmp_path, capsys, monkeypatch):
+    from spectral_lb import cli
+    from spectral_lb.spectra import EXACT_MAX_ORDER
+
+    path = tmp_path / "pet.txt"
+    path.write_text(format_edge_list(petersen()))
+    with pytest.raises(SystemExit):
+        main(["spectrum", "--help"])
+    assert f"at most {EXACT_MAX_ORDER} vertices" in " ".join(capsys.readouterr().out.split())
+    _, out, _ = run(capsys, "spectrum", str(path))
+    assert out.count("exact)") == 10
+    monkeypatch.setattr(cli, "EXACT_MAX_ORDER", 9)
+    _, out, _ = run(capsys, "spectrum", str(path))
+    assert "exact" not in out
+
+
 def test_catalog_get_unknown(capsys):
     code, _, err = run(capsys, "catalog", "get", "zzz")
     assert code == 2 and "unknown" in err

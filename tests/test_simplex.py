@@ -308,6 +308,55 @@ def test_invert_gives_adjugate_over_det(mat):
             assert entry == (d if i == k else 0)
 
 
+def _fraction_inverse(mat):
+    """B^-1 by Fraction Gauss-Jordan, or None when B is singular."""
+
+    m = len(mat)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == k)) for k in range(m)]
+         for i, row in enumerate(mat)]
+    for c in range(m):
+        pr = next((r for r in range(c, m) if a[r][c] != 0), None)
+        if pr is None:
+            return None
+        a[c], a[pr] = a[pr], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(m):
+            if r != c and a[r][c] != 0:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return [row[m:] for row in a]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda m: st.tuples(
+            st.lists(
+                st.lists(st.sampled_from([-1, 0, 0, 1, 2]), min_size=m + 2, max_size=m + 2),
+                min_size=m,
+                max_size=m,
+            ),
+            st.permutations(range(m + 2)),
+        )
+    )
+)
+def test_invert_matches_fraction_inverse(spec):
+    # columns mostly +-1, a basis drawn in any order from two more columns than rows
+    mat, order = spec
+    m = len(mat)
+    columns = [[(r, mat[r][j]) for r in range(m) if mat[r][j]] for j in range(m + 2)]
+    basis = list(order[:m])
+    b = [[mat[r][j] for j in basis] for r in range(m)]
+    inv = _fraction_inverse(b)
+    got = _invert(columns, basis, m)
+    if inv is None:
+        assert got is None
+        return
+    adj, d = got
+    assert d == abs(_fraction_det(b))
+    assert adj == [[d * x for x in row] for row in inv]
+
+
 # ---------------------------------------------------------------------------
 # the lexicographic tie-break against the full rule
 

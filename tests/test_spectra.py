@@ -338,3 +338,101 @@ def test_psd_check_matches_fraction_reference(g, shift):
         for i in range(n)
     ]
     assert psd_check_exact(mat) == _reference_psd(mat)
+
+
+def _shifted(mat, r):
+    return [[x - (r if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(mat)]
+
+
+def _gram(g, n):
+    # G^T G: PSD, and singular when G has fewer than n rows
+    return [[sum((Fraction(row[i]) * row[j] for row in g), Fraction(0)) for j in range(n)]
+            for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda c: st.lists(
+            st.lists(st.one_of(_entry, st.sampled_from([0, Fraction(1)])), min_size=c, max_size=c),
+            min_size=1,
+            max_size=6,
+        )
+    ),
+    st.integers(0, 2),
+)
+def test_rank_matches_fraction_reference(mat, copies):
+    # repeated rows, and rows mixing int 0 with Fraction(1) as the edge-list parser writes them
+    mat = mat + [list(mat[-1]) for _ in range(copies)]
+    assert rational_rank(mat) == len(mat[0]) - len(_reference_nullspace(mat))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.lists(_entry, min_size=n, max_size=n), min_size=0, max_size=n - 1),
+        )
+    ),
+    _entry,
+    _entry,
+)
+def test_is_exact_eigenvalue_matches_fraction_reference(shape, r, other):
+    n, g = shape
+    # G^T G with fewer rows than columns is singular, so r is an eigenvalue
+    mat = _shifted(_gram(g, n), -r)
+    assert is_exact_eigenvalue(mat, r)
+    for shift in (r, other, other + Fraction(1, 7)):
+        want = bool(_reference_nullspace(_shifted(mat, shift)))
+        assert is_exact_eigenvalue(mat, shift) == want
+
+
+def test_is_exact_eigenvalue_rejects_non_square():
+    with pytest.raises(ValueError, match="matrix must be square"):
+        is_exact_eigenvalue([[1, 0, 0]], 5)
+    with pytest.raises(ValueError, match="matrix must be square"):
+        is_exact_eigenvalue([[1], [0]], 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.lists(_entry, min_size=n, max_size=n), min_size=0, max_size=n + 1),
+        )
+    ),
+    _entry,
+    st.lists(_entry, min_size=15, max_size=15),
+)
+def test_lambda_min_exact_matches_eigvalsh(shape, r, noise):
+    n, g = shape
+    gram = _gram(g, n)
+    mat = _shifted(gram, -r)
+    want = np.linalg.eigvalsh(np.array(mat, dtype=float))[0]
+    got = lambda_min_exact(mat)
+    if len(g) < n:  # G^T G is singular, so its minimum 0 moves to r
+        assert got == r
+    if got is not None:
+        assert abs(float(got) - want) < 1e-9
+        assert _reference_psd(_shifted(mat, got)) and _reference_nullspace(_shifted(mat, got))
+    # a random symmetric matrix: any certified minimum agrees with LAPACK
+    it = iter(noise)
+    sym = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            sym[i][j] = sym[j][i] = next(it)
+    got = lambda_min_exact(sym)
+    if got is not None:
+        assert abs(float(got) - np.linalg.eigvalsh(np.array(sym, dtype=float))[0]) < 1e-9
+        assert _reference_nullspace(_shifted(sym, got))
+
+
+def test_verified_integer_eigenvalues_on_parsed_johnson():
+    from spectral_lb.graph_io import format_edge_list, load_graph_text
+
+    g = load_graph_text(format_edge_list(johnson(6, 2)))
+    a = g.adjacency(dtype=object)
+    assert any(type(x) is Fraction for row in a for x in row)
+    assert verified_integer_eigenvalues(a) == [-2, 2, 8]
