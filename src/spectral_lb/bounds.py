@@ -32,9 +32,9 @@ from .decomp import (
     min_real_cubic_root,
     validate_partition,
 )
-from .graphs import SimpleGraph, bipartition, diameter, is_connected
+from .graphs import SimpleGraph, bipartition, diameter, direct_product, is_connected
 from .rationals import Q
-from .spectra import lambda_min, lambda_max
+from .spectra import lambda_max, lambda_min, spectrum
 
 MAX_BETA_ORDER = 14
 MAX_ORBIT_ORDER = 10
@@ -43,6 +43,9 @@ MAX_ORBIT_ORDER = 10
 # circulant(11, 2) and 3.9 s on the icosahedron, so a report keeps it
 # to n <= 10 rather than spend seconds on every graph of order 11 or 12
 REPORT_COMPLETE_ORDER = 10
+# a report calls a bound tight within this distance of lambda, and
+# violated when it lies on the wrong side of lambda by more
+TIGHT_TOL = 1e-8
 
 
 def _require_regular(g: SimpleGraph) -> int:
@@ -69,9 +72,10 @@ def hoffman_upper(g: SimpleGraph) -> float:
 def chromatic_uppers(g: SimpleGraph) -> tuple[float, float]:
     """(-k/(chi_f - 1), -k/(chi - 1)) for regular G, with the chain asserted."""
 
-    k = _require_regular(g)
-    chi_f = fractional_chromatic(g)
-    chi = chromatic_number(g)
+    return _chromatic_uppers(_require_regular(g), fractional_chromatic(g), chromatic_number(g))
+
+
+def _chromatic_uppers(k: int, chi_f, chi: int) -> tuple[float, float]:
     if chi_f <= 1 or chi <= 1:
         raise ValueError("chromatic upper bounds need an edge")
     frac = -Q(k) / (chi_f - 1)
@@ -84,11 +88,12 @@ def chromatic_uppers(g: SimpleGraph) -> tuple[float, float]:
 def lovasz_upper(g: SimpleGraph) -> tuple[float, float]:
     """(-lambda_1/(chi_f - 1), -lambda_1/(chi - 1)); no regularity needed."""
 
-    chi_f = fractional_chromatic(g)
-    chi = chromatic_number(g)
+    return _lovasz_upper(lambda_max(g), fractional_chromatic(g), chromatic_number(g))
+
+
+def _lovasz_upper(lam1: float, chi_f, chi: int) -> tuple[float, float]:
     if chi_f <= 1 or chi <= 1:
         raise ValueError("these upper bounds need an edge")
-    lam1 = lambda_max(g)
     return lam1 / (1 - float(chi_f)), lam1 / (1 - chi)
 
 
@@ -446,8 +451,6 @@ def product_tightness(g1: SimpleGraph, k1: CliquePartition, g2: SimpleGraph, k2:
     lambda(G_i) = lambda*_K(G_i) = -k_i/(c_i - 1).
     """
 
-    from .graphs import direct_product
-
     d1, d2 = _require_regular(g1), _require_regular(g2)
     part, c1, c2 = product_partition(g1, k1, g2, k2)
     for g, k, d, c in ((g1, k1, d1, c1), (g2, k2, d2, c2)):
@@ -603,6 +606,17 @@ class BoundReport:
     entries: list[BoundEntry] = field(default_factory=list)
     skipped: list[tuple[str, str]] = field(default_factory=list)  # (name, reason)
 
+    @property
+    def violations(self) -> list[BoundEntry]:
+        """Lower bounds above lambda and upper bounds below it, by more than TIGHT_TOL."""
+
+        return [
+            en
+            for en in self.entries
+            if (en.kind == "lower" and en.value > self.lam + TIGHT_TOL)
+            or (en.kind == "upper" and en.value < self.lam - TIGHT_TOL)
+        ]
+
 
 def bound_report(g: SimpleGraph, name: str = "graph", partition: CliquePartition | None = None, lp: bool = False) -> BoundReport:
     """Run every applicable bound on G and aggregate a checked report.
@@ -611,13 +625,17 @@ def bound_report(g: SimpleGraph, name: str = "graph", partition: CliquePartition
     capped below the order of G is listed in rep.skipped with the reason.
     """
 
-    lam = lambda_min(g) if g.n else 0.0
+    spec = spectrum(g.adjacency(dtype=float)) if g.n else None
+    lam = spec.lambda_min if g.n else 0.0
     rep = BoundReport(name, g.n, g.m, lam)
     k = g.regular_degree()
     connected = is_connected(g) if g.n else False
+    # shared by the chromatic and Lovasz bounds, which have the same cap
+    if g.m > 0 and g.n <= MAX_COLOR_ORDER:
+        chi_f, chi = fractional_chromatic(g), chromatic_number(g)
 
     def put(entry_name, kind, value, exact=None, note=""):
-        tight = abs(value - lam) <= 1e-8
+        tight = abs(value - lam) <= TIGHT_TOL
         rep.entries.append(BoundEntry(entry_name, kind, value, exact, tight, note))
 
     def fits(entry_names, cap):
@@ -651,11 +669,11 @@ def bound_report(g: SimpleGraph, name: str = "graph", partition: CliquePartition
         if fits(["hoffman"], MAX_CLIQUE_ORDER):
             put("hoffman", "upper", hoffman_upper(g))
         if fits(["fractional_chromatic", "chromatic"], MAX_COLOR_ORDER):
-            frac, chrom = chromatic_uppers(g)
+            frac, chrom = _chromatic_uppers(k, chi_f, chi)
             put("fractional_chromatic", "upper", frac)
             put("chromatic", "upper", chrom)
     if g.m > 0 and fits(["lovasz_fractional", "lovasz_chromatic"], MAX_COLOR_ORDER):
-        lov_f, lov_c = lovasz_upper(g)
+        lov_f, lov_c = _lovasz_upper(spec.lambda_max, chi_f, chi)
         put("lovasz_fractional", "upper", lov_f)
         put("lovasz_chromatic", "upper", lov_c)
     return rep

@@ -61,7 +61,7 @@ def _cmd_spectrum(args) -> int:
     spec = spectrum(g.adjacency(dtype=float))
     exact = set()
     if g.n <= EXACT_MAX_ORDER:
-        exact = set(verified_integer_eigenvalues(g.adjacency(dtype=object)))
+        exact = set(verified_integer_eigenvalues(g.adjacency(dtype=object), spec.values))
     for v in spec.values:
         flag = ""
         r = round(float(v))
@@ -109,12 +109,7 @@ def _cmd_bounds(args) -> int:
             print(f"  {en.name.ljust(width)}  {en.kind:5s}  {en.value:+.12f}{exact}{tight}{note}")
         for name, reason in rep.skipped:
             print(f"  {name.ljust(width)}  skipped [{reason}]")
-    bad = [
-        en
-        for en in rep.entries
-        if (en.kind == "lower" and en.value > rep.lam + 1e-8)
-        or (en.kind == "upper" and en.value < rep.lam - 1e-8)
-    ]
+    bad = rep.violations
     if bad:
         print(f"BOUND VIOLATION: {', '.join(en.name for en in bad)}", file=sys.stderr)
         return EXIT_FAIL

@@ -1,11 +1,13 @@
 """Clique enumeration and the exact LP optimisation of decomposition bounds.
 
-lambda_star_K optimises over clique partitions of integer multiples of a
-simple graph; lambda_star_C optimises over signed complete-graph
-decompositions.  Both are exact rational linear programs whose optima are
-returned with integer certificates that re-validate against the decomp
-module.  The combinatorial side (independence, clique and chromatic
-numbers, Turan numbers) is exact branch and bound on bitsets.
+lambda_star_C optimises over signed complete-graph decompositions;
+lambda_star_K is the same LP restricted to +K_S columns on the cliques of
+a simple graph, whose integer solutions are the clique partitions of
+integer multiples mu G.  One builder and one solve serve both; each
+optimum is returned with an integer certificate that its caller
+re-validates against the decomp module.  The combinatorial side
+(independence, clique and chromatic numbers, Turan numbers) is exact
+branch and bound on bitsets.
 """
 
 from __future__ import annotations
@@ -206,7 +208,7 @@ def fractional_chromatic(g: SimpleGraph):
 
 
 # ---------------------------------------------------------------------------
-# lambda*_K: clique partitions of mu G
+# the decomposition LP: lambda*_C, and lambda*_K as its clique columns
 
 
 @dataclass(frozen=True)
@@ -220,107 +222,118 @@ class LambdaStarResult:
     pivots: int = 0
 
 
-def lambda_star_K(g: SimpleGraph) -> LambdaStarResult:
-    """Best clique-partition bound -r(K)/mu over all mu and partitions.
+def _decomposition_model(n: int, subsets, signed: bool):
+    """The decomposition LP over the given subsets, with every right-hand side zero.
 
-    Solves min t subject to: every edge exactly covered (weight 1), every
-    per-vertex clique load at most t.  The optimal basic solution is scaled
-    by the lcm of its denominators into a genuine clique partition of mu G,
-    which is re-validated exactly.
-    """
-
-    if g.n > MAX_CLIQUE_ORDER:
-        raise ValueError(f"lambda*_K capped at n <= {MAX_CLIQUE_ORDER}")
-    edges = g.edges()
-    if not edges:
-        raise ValueError("lambda*_K needs at least one edge")
-    cliques = enumerate_cliques(g, 2)
-    csets = [frozenset(c) for c in cliques]
-    by_edge = {e: [] for e in edges}
-    by_vertex = [[] for _ in range(g.n)]
-    for j, cs in enumerate(csets):
-        for u in cliques[j]:
-            by_vertex[u].append(j)
-        for a, b in combinations(cliques[j], 2):
-            by_edge[(a, b)].append(j)
-
-    lp = RationalLP()
-    z = [lp.variable() for _ in cliques]
-    t = lp.variable(obj=1)
-    edge_rows = [lp.add_eq({z[j]: 1 for j in by_edge[e]}, 1) for e in edges]
-    vertex_rows = [
-        lp.add_le({**{z[j]: 1 for j in by_vertex[u]}, t: -1}, 0)
-        for u in range(g.n)
-    ]
-
-    # phase-1-free start: one 2-clique per edge, t at the maximum degree
-    edge_clique = {e: cliques.index(e) for e in edges}
-    degs = g.degrees()
-    u_star = max(range(g.n), key=lambda u: degs[u])
-    basis = [z[edge_clique[e]] for e in edges]
-    basis.append(t)
-    basis.extend(lp.slack_index(vertex_rows[u]) for u in range(g.n) if u != u_star)
-    sol = lp.solve(start_basis=basis)
-    if sol.status != OPTIMAL:
-        raise SimplexError(f"lambda*_K LP came back {sol.status}")
-
-    zvals = [sol.x[z[j]] for j in range(len(cliques))]
-    mu = denominator_lcm(zvals)
-    mult = {}
-    for j, v in enumerate(zvals):
-        if v != 0:
-            count = v * mu
-            if count.denominator != 1:
-                raise CertificateError("lambda*_K optimum is not integral at mu")
-            mult[cliques[j]] = int(count)
-    partition = CliquePartition(
-        mu, tuple(c for c, k in sorted(mult.items()) for _ in range(k))
-    )
-    r_u, r, _ = clique_partition_stats(partition, g)
-    value = -sol.objective
-    if clique_partition_bound(partition, g) != value or Q(-r, mu) != value:
-        raise CertificateError("lambda*_K certificate failed to re-validate")
-    return LambdaStarResult(value, mu, mult, tuple(r_u), sol.pivots)
-
-
-# ---------------------------------------------------------------------------
-# lambda*_C: signed complete graph decompositions
-
-
-@lru_cache(maxsize=None)
-def _complete_model(n: int):
-    """The lambda*_C model on n vertices, with every right-hand side zero.
-
-    Rows: one equality per pair u < v, then one >= row per vertex, whose
-    right-hand side a call sets to -h_uu.  Columns: lambda+ and lambda-,
-    then a +K_S column per subset S with |S| >= 2, with a -K_2 column after
-    each plus one.  Both kinds have minimum -1, so every piece column has
-    coefficient -1 in the rows of its vertices.  Returns the model, its
-    pieces as (variable, subset, sign), and the variables of the signed
-    K_2 keyed by (pair, sign).
+    Maximises lambda+ - lambda-.  Rows: one equality per 2-subset, in
+    order, then one >= row per vertex, whose right-hand side a solve sets
+    to -h_uu.  Columns: lambda+ and lambda-, then a +K_S column per
+    subset S, with a -K_2 column after each 2-subset when signed.  Both
+    kinds have minimum -1, so every piece column has coefficient -1 in the
+    rows of its vertices.  Every pair inside a subset must itself be one
+    of the subsets.  Returns the model, its pieces as (variable, subset,
+    sign), and the variables of the K_2 pieces keyed by (pair, sign).
     """
 
     lp = RationalLP(maximize=True)
     lam_p = lp.variable(obj=1)
     lam_m = lp.variable(obj=-1)
-    pairs = {p: {} for p in combinations(range(n), 2)}
+    pairs = {s: {} for s in subsets if len(s) == 2}
     loads = [{lam_p: -1, lam_m: 1} for _ in range(n)]
     pieces = []
-    for size in range(2, n + 1):
-        for s in combinations(range(n), size):
-            for sign in (1, -1) if size == 2 else (1,):
-                j = lp.variable()
-                pieces.append((j, s, sign))
-                for u in s:
-                    loads[u][j] = -1
-                for p in combinations(s, 2):
-                    pairs[p][j] = sign
+    for s in subsets:
+        for sign in (1, -1) if signed and len(s) == 2 else (1,):
+            j = lp.variable()
+            pieces.append((j, s, sign))
+            for u in s:
+                loads[u][j] = -1
+            for p in combinations(s, 2):
+                pairs[p][j] = sign
     for coeffs in pairs.values():
         lp.add_eq(coeffs, 0)
     for coeffs in loads:
         lp.add_ge(coeffs, 0)
-    signed = {(s, sign): j for j, s, sign in pieces if len(s) == 2}
-    return lp, tuple(pieces), signed
+    k2 = {(s, sign): j for j, s, sign in pieces if len(s) == 2}
+    return lp, tuple(pieces), k2
+
+
+def _solve_decomposition(model, pieces, k2, weight, loops):
+    """Optimum of a decomposition model for pair weights weight(u, v) and loops h_uu.
+
+    Sets the right-hand sides and starts from one K_2 per pair row, signed
+    as its weight, with lambda at the worst vertex sum.  Returns the
+    solution, the lcm mu of the denominators of the net values per subset
+    (the loops as 1-subsets, first) and those net values times mu, as
+    integers keyed by subset in model order.
+    """
+
+    n = len(loops)
+    pairs = [s for s, sign in k2 if sign == 1]
+    ws = [weight(u, v) for u, v in pairs]
+    lp = model.with_rhs(ws + [-w for w in loops])
+    basis = []
+    start_sum = list(loops)
+    for (u, v), w in zip(pairs, ws):
+        basis.append(k2[((u, v), 1 if w >= 0 else -1)])
+        start_sum[u] -= abs(w)
+        start_sum[v] -= abs(w)
+    lam0 = min(start_sum)
+    u_star = start_sum.index(lam0)
+    basis.append(1 if lam0 <= 0 else 0)  # variable 1 is lambda-, 0 is lambda+
+    basis.extend(lp.slack_index(len(pairs) + u) for u in range(n) if u != u_star)
+    sol = lp.solve(start_basis=basis)
+    if sol.status != OPTIMAL:
+        raise SimplexError(f"decomposition LP came back {sol.status}")
+
+    nets = {(u,): w for u, w in enumerate(loops)}
+    for j, s, sign in pieces:
+        if sol.x[j]:
+            nets[s] = nets.get(s, QZERO) + sign * sol.x[j]
+    nets = {s: a for s, a in nets.items() if a}
+    mu = denominator_lcm(nets.values())
+    counts = {}
+    for s, a in nets.items():
+        count = a * mu
+        if count.denominator != 1:
+            raise CertificateError("decomposition LP optimum is not integral at mu")
+        counts[s] = int(count)
+    return sol, mu, counts
+
+
+def lambda_star_K(g: SimpleGraph) -> LambdaStarResult:
+    """Best clique-partition bound -r(K)/mu over all mu and partitions.
+
+    The lambda*_C LP restricted to +K_S columns on the cliques S of G
+    (enumerate_cliques): the pair rows are the edges, each of weight 1,
+    and there are no -K_2 columns and no loops.  A clique partition of
+    mu G is such a decomposition of mu G, so the optimum is the largest
+    -max_u r_u/mu.  The optimal basic solution is scaled by the lcm of its
+    denominators into a clique partition of mu G, which is re-validated
+    exactly through clique_partition_bound.
+    """
+
+    if g.n > MAX_CLIQUE_ORDER:
+        raise ValueError(f"lambda*_K capped at n <= {MAX_CLIQUE_ORDER}")
+    if not g.m:
+        raise ValueError("lambda*_K needs at least one edge")
+    model, pieces, k2 = _decomposition_model(g.n, enumerate_cliques(g, 2), False)
+    sol, mu, counts = _solve_decomposition(model, pieces, k2, lambda u, v: 1, [0] * g.n)
+    partition = CliquePartition(
+        mu, tuple(c for c, k in sorted(counts.items()) for _ in range(k))
+    )
+    r_u, r, _ = clique_partition_stats(partition, g)
+    value = sol.objective
+    if clique_partition_bound(partition, g) != value or Q(-r, mu) != value:
+        raise CertificateError("lambda*_K certificate failed to re-validate")
+    return LambdaStarResult(value, mu, counts, tuple(r_u), sol.pivots)
+
+
+@lru_cache(maxsize=None)
+def _complete_model(n: int):
+    """The lambda*_C model on n vertices: +K_S on every S with |S| >= 2, and -K_2."""
+
+    subsets = [s for size in range(2, n + 1) for s in combinations(range(n), size)]
+    return _decomposition_model(n, subsets, True)
 
 
 def lambda_star_C(h) -> LambdaStarResult:
@@ -351,44 +364,12 @@ def lambda_star_C(h) -> LambdaStarResult:
         raise ValueError(f"lambda*_C capped at n <= {MAX_COMPLETE_ORDER}")
     if n == 0:
         raise ValueError("lambda*_C needs at least one vertex")
-    model, pieces, signed = _complete_model(n)
-    pairs = list(combinations(range(n), 2))
+    model, pieces, k2 = _complete_model(n)
     loops = [h.weight(u, u) for u in range(n)]
-    lp = model.with_rhs([h.weight(u, v) for u, v in pairs] + [-w for w in loops])
-
-    # warm start: one signed 2-clique per pair, lambda at the worst vertex sum
-    basis = []
-    start_sum = list(loops)
-    for u, v in pairs:
-        w = h.weight(u, v)
-        basis.append(signed[((u, v), 1 if w >= 0 else -1)])
-        start_sum[u] -= abs(w)
-        start_sum[v] -= abs(w)
-    lam0 = min(start_sum)
-    u_star = start_sum.index(lam0)
-    basis.append(1 if lam0 <= 0 else 0)  # variable 1 is lambda-, 0 is lambda+
-    basis.extend(lp.slack_index(len(pairs) + u) for u in range(n) if u != u_star)
-
-    sol = lp.solve(start_basis=basis)
-    if sol.status != OPTIMAL:
-        raise SimplexError(f"lambda*_C LP came back {sol.status}")
-    value = sol.objective
-
-    nets = {("J", (u,)): w for u, w in enumerate(loops)}
-    for j, s, sign in pieces:
-        if sol.x[j]:
-            nets[("K", s)] = nets.get(("K", s), QZERO) + sign * sol.x[j]
-    nets = {sh: a for sh, a in nets.items() if a}
-    mu = denominator_lcm(nets.values())
-    mult = {}
-    decomp_pieces = []
-    for sh in sorted(nets, key=lambda s: (s[0], len(s[1]), s[1])):
-        count = nets[sh] * mu
-        if count.denominator != 1:
-            raise CertificateError("lambda*_C optimum is not integral at mu")
-        mult[sh] = int(count)
-        decomp_pieces.append(complete_piece(sh[0], sh[1], count))
+    sol, mu, counts = _solve_decomposition(model, pieces, k2, h.weight, loops)
+    mult = {("J" if len(s) == 1 else "K", s): c for s, c in counts.items()}
+    decomp_pieces = [complete_piece(kind, s, c) for (kind, s), c in mult.items()]
     bound = decomposition_bound(decomposition(scale(h, mu), decomp_pieces))
-    if bound.exact != value * mu:
+    if bound.exact != sol.objective * mu:
         raise CertificateError("lambda*_C certificate failed to re-validate")
-    return LambdaStarResult(value, mu, mult, bound.per_vertex_exact, sol.pivots)
+    return LambdaStarResult(sol.objective, mu, mult, bound.per_vertex_exact, sol.pivots)

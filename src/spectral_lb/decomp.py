@@ -22,6 +22,7 @@ from .graphs import (
     SimpleGraph,
     WeightedGraph,
     as_weighted,
+    cartesian_product,
     embed,
     line_graph,
     line_graph_vertices,
@@ -605,8 +606,6 @@ def line_graph_bound(mg: Multigraph):
 
 def cartesian_copy_decomposition(g1: SimpleGraph, g2: SimpleGraph, product=None) -> Decomposition:
     """Decompose G1 [] G2 into the copies of G1 and G2 along the two axes."""
-
-    from .graphs import cartesian_product
 
     prod = product if product is not None else cartesian_product(g1, g2)
     target = weighted_from_simple(prod)

@@ -39,12 +39,15 @@ from .cliqopt import (
 )
 from .decomp import (
     CliquePartition,
+    Decomposition,
+    Piece,
     cartesian_copy_decomposition,
     clique_equality_certificate,
     clique_partition_bound,
     clique_partition_stats,
     cube_decomposition,
     cubic_power_bound,
+    decomposition,
     decomposition_bound,
     equality_certificate,
     essential_vertices,
@@ -54,6 +57,7 @@ from .decomp import (
     validate,
 )
 from .graphs import (
+    build_multigraph,
     build_simple,
     cartesian_product,
     composition,
@@ -206,8 +210,6 @@ def _rows_five_cycle():
     target = weighted_from_multigraph(cube)
     k5 = weighted_from_simple(catalog.complete(5))
     two_c5 = scale(weighted_from_simple(c5), 2)
-    from .decomp import decomposition
-
     d = decomposition(target, [k5, two_c5])
     try:
         validate(d)
@@ -290,8 +292,6 @@ def _rows_dodecahedron():
     e = "dodecahedron"
     g = catalog.dodecahedron()
     rows = [_row(e, "lambda", -math.sqrt(5), lambda_min(g), tol=1e-10, provenance="eigensolver")]
-    from .decomp import Piece, Decomposition
-
     target = scale(weighted_from_simple(g), 2)
     pieces = []
     for face in catalog.DODECAHEDRON_FACES:
@@ -331,8 +331,6 @@ def _rows_line_graphs():
     rows.append(_row(e, "lambda(L(K_4))", -2.0, lambda_min(lk4), tol=1e-9, provenance="eigensolver"))
     rows.append(_row(e, "line bound simple", Q(-2), line_graph_bound(multigraph_from_simple(k4)), provenance="claw pieces"))
     # lambda(L(mu G)) = mu lambda(L(G))
-    from .graphs import build_multigraph
-
     base = catalog.cycle(4)
     mg2 = build_multigraph(4, {e_: 2 for e_ in base.edges()})
     val = lambda_min(line_graph(mg2))

@@ -260,19 +260,22 @@ def lambda_min_exact(mat, hint: float | None = None):
     return None
 
 
-def verified_integer_eigenvalues(mat) -> list[int]:
+def verified_integer_eigenvalues(mat, values=None) -> list[int]:
     """Integers that are certified (by exact elimination) to be eigenvalues.
 
     Each integer within 1e-8 of a LAPACK eigenvalue is a candidate r, and
     is kept when s (A - rI) is singular (_singular_at), with the integer
-    image s A built once.
+    image s A built once.  values, when given, are the float eigenvalues
+    of the matrix, which spares a second LAPACK call; like the hint of
+    lambda_min_exact they only choose the candidates.
     """
 
-    spec = spectrum(mat)
+    if values is None:
+        values = spectrum(mat).values
     a, s = _integer_matrix(mat)
     out = []
-    for r in sorted({round(float(v)) for v in spec.values}):
-        if any(abs(float(v) - r) < 1e-8 for v in spec.values):
+    for r in sorted({round(float(v)) for v in values}):
+        if any(abs(float(v) - r) < 1e-8 for v in values):
             if _singular_at(a, s * r):
                 out.append(int(r))
     return out

@@ -449,3 +449,42 @@ def test_bound_report_trevisan_cap():
     rep = bound_report(circulant(15, 2))
     assert "trevisan" not in {en.name for en in rep.entries}
     assert ("trevisan", "n = 15 exceeds the cap n <= 14") in rep.skipped
+
+
+def test_bound_report_solves_each_shared_quantity_once(monkeypatch):
+    # chi_f and chi serve both the chromatic and the Lovasz bounds, and one
+    # spectrum gives both lambda and lambda_1
+    import numpy as np
+
+    import spectral_lb.bounds as bounds
+
+    calls = {"fractional_chromatic": 0, "chromatic_number": 0, "eigh": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("fractional_chromatic", "chromatic_number"):
+        monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    rep = bound_report(petersen())
+    names = {en.name for en in rep.entries}
+    assert {"fractional_chromatic", "chromatic", "lovasz_fractional", "lovasz_chromatic"} <= names
+    assert calls == {"fractional_chromatic": 1, "chromatic_number": 1, "eigh": 1}
+
+
+def test_bound_report_violations_use_the_tightness_tolerance():
+    from spectral_lb.bounds import TIGHT_TOL, BoundEntry, BoundReport
+
+    rep = BoundReport("g", 2, 1, -1.0)
+    rep.entries += [
+        BoundEntry("low_ok", "lower", -1.0 + TIGHT_TOL / 2),
+        BoundEntry("low_bad", "lower", -1.0 + 2 * TIGHT_TOL),
+        BoundEntry("up_ok", "upper", -1.0 - TIGHT_TOL / 2),
+        BoundEntry("up_bad", "upper", -1.0 - 2 * TIGHT_TOL),
+        BoundEntry("far_ok", "lower", -5.0),
+    ]
+    assert [en.name for en in rep.violations] == ["low_bad", "up_bad"]

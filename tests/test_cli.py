@@ -57,6 +57,25 @@ def test_spectrum_exact_flags_stop_at_the_declared_cap(tmp_path, capsys, monkeyp
     assert "exact" not in out
 
 
+def test_spectrum_runs_lapack_once(tmp_path, capsys, monkeypatch):
+    # the displayed eigenvalues also choose the integer candidates to certify
+    import numpy as np
+
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    path = tmp_path / "pet.txt"
+    path.write_text(format_edge_list(petersen()))
+    _, out, _ = run(capsys, "spectrum", str(path))
+    assert out.count("exact)") == 10
+    assert calls == [(10, 10)]
+
+
 def test_catalog_get_unknown(capsys):
     code, _, err = run(capsys, "catalog", "get", "zzz")
     assert code == 2 and "unknown" in err

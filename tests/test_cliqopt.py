@@ -462,3 +462,26 @@ def test_pivot_counts_on_connected_six_vertex_graphs():
 def test_pivot_counts_petersen_and_shrikhande():
     assert lambda_star_C(petersen()).pivots == 859
     assert lambda_star_K(shrikhande()).pivots == 59
+
+
+# ---------------------------------------------------------------------------
+# lambda*_K certificates: the same LP optimum gives the same partitions
+
+
+def test_lambda_star_k_certificates_on_connected_six_vertex_graphs():
+    results = [lambda_star_K(g) for g in connected_atlas(6, 6)]
+    assert len(results) == 112
+    assert sum(r.mu for r in results) == 145
+    assert sum(sum(r.multiplicities.values()) for r in results) == 730
+    assert sum(len(r.multiplicities) for r in results) == 685
+
+
+def test_lambda_star_k_certificates_shrikhande_and_icosahedron():
+    from spectral_lb.catalog import icosahedron
+
+    for g, mu, cliques in ((shrikhande(), 1, 16), (icosahedron(), 2, 20)):
+        res = lambda_star_K(g)
+        assert res.mu == mu
+        assert len(res.multiplicities) == cliques
+        assert set(res.multiplicities.values()) == {1}
+        assert all(len(c) == 3 for c in res.multiplicities)

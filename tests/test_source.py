@@ -67,3 +67,15 @@ def test_no_environment_reads_in_package():
                 hits = [a.name for a in node.names if a.name in names]
                 found += [f"{path.name}:{node.lineno} from os import {name}" for name in hits]
     assert not found, f"environment reads in the package: {found}"
+
+
+def test_no_function_level_imports_in_package():
+    # every import sits at module level, where a reader sees the dependencies
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                for inner in ast.walk(node):
+                    if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                        found.append(f"{path.name}:{inner.lineno}")
+    assert not found, f"function-level imports in the package: {sorted(set(found))}"
