@@ -1,10 +1,16 @@
 """Exact LP solver (two-phase revised simplex) over integers.
 
 Optima and optimal bases are certificates rather than approximations.
-solve_standard scales the standard form to integers once: each row and
-its right-hand side by the lcm of their denominators, the costs by the lcm
-of theirs.  Neither scaling moves the feasible set, x_B or a direction
-B^-1 a_j, so every pivot decision is the one the rational problem makes.
+The standard form is scaled to integers: each row and its right-hand
+side by the lcm of their denominators, the costs by the lcm of theirs.
+Neither scaling moves the feasible set, x_B or a direction B^-1 a_j, so
+every pivot decision is the one the rational problem makes.  The columns
+and costs are compiled once (_compile: integer columns scaled by their
+own denominators, integer costs, the float image of the matrix) and a
+solve adds only what b needs: b in integers, and one more row factor
+where b_r's denominator does not divide the row's scale.  Rows keep the
+caller's signs, so a RationalLP and its with_rhs copies solve on one
+compiled form.
 
 The basis inverse is kept fraction-free as B^-1 = A^/D, with D = |det B|
 and A^ = +-adj(B) an integer matrix; x_B and the duals are integer
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,14 +89,17 @@ class _Core:
     """Primal simplex over an integer basis inverse A^/D.
 
     rows[i] is [A^_i | x^_i], the i-th row of D B^-1 [I | b].  rscale and
-    cscale are the integer scalings of the rows and of the costs; the float
-    screen divides them out so that it ranks in the caller's scaling.
+    cscale are the integer scalings of the rows and of the costs;
+    float_cols and float_cost are the caller's matrix and costs in floats,
+    which the screen ranks with duals scaled back by rscale and cscale.
     """
 
-    def __init__(self, columns, cost, b, m, rscale, cscale=1):
+    def __init__(self, columns, cost, b, m, rscale, cscale, float_cols, float_cost):
         self.columns = columns
         self.cost = cost
         self.cscale = cscale
+        self.float_cols = float_cols
+        self.float_cost = float_cost
         self.b = b
         self.rscale = rscale
         self.m = m
@@ -146,16 +156,8 @@ class _Core:
 
         return self.det * self.cost[j] - sum(y[r] * v for r, v in self.columns[j])
 
-    def _refresh_float(self):
-        """Float image of the caller's column matrix, used only to rank candidates."""
-
+    def _refresh_blocked(self):
         ncols = len(self.columns)
-        f = np.zeros((self.m, ncols))
-        for j, col in enumerate(self.columns):
-            for r, v in col:
-                f[r, j] = v / self.rscale[r]
-        self.float_cols = f
-        self.float_cost = np.array([c / self.cscale for c in self.cost])
         self.blocked = np.fromiter(
             (self.in_basis[j] or not self.allowed[j] for j in range(ncols)),
             dtype=bool,
@@ -257,7 +259,7 @@ class _Core:
         return ties[0]
 
     def iterate(self):
-        self._refresh_float()
+        self._refresh_blocked()
         self.lex_seed = None
         m = self.m
         last = None
@@ -299,13 +301,62 @@ class _Core:
         self.basis[leave] = enter
 
 
+class _Form(NamedTuple):
+    """A standard form's columns and costs, compiled for solves with any b.
+
+    columns are integer, row r scaled by rscale[r], the lcm of the
+    denominators of its coefficients; cost is integer, scaled by cscale.
+    float_cols and float_cost are the caller's matrix and costs in floats.
+    Solves share the form and never write to it.
+    """
+
+    m: int
+    columns: list
+    rscale: list
+    cost: list
+    cscale: int
+    float_cols: np.ndarray
+    float_cost: np.ndarray
+
+
+def _compile(columns, cost, m):
+    fracs = [[(r, numer(v), denom(v)) for r, v in sorted(col)] for col in columns]
+    rscale = [1] * m
+    for col in fracs:
+        for r, _, dv in col:
+            if dv != 1:
+                rscale[r] = lcm(rscale[r], dv)
+    int_cols = [[(r, nv * (rscale[r] // dv)) for r, nv, dv in col] for col in fracs]
+    float_cols = np.zeros((m, len(int_cols)))
+    for j, col in enumerate(int_cols):
+        for r, v in col:
+            float_cols[r, j] = v / rscale[r]
+    cost_int, cscale = integer_row(cost)
+    float_cost = np.array([c / cscale for c in cost_int])
+    float_cols.setflags(write=False)
+    float_cost.setflags(write=False)
+    return _Form(m, int_cols, rscale, cost_int, cscale, float_cols, float_cost)
+
+
 def solve_standard(columns, cost, b, m, start_basis=None):
     """min cost.x subject to A x = b, x >= 0, with sparse columns of A.
 
-    b may have either sign (rows are normalised internally).  When
-    start_basis yields an invertible, primal-feasible basis, phase 1 is
-    skipped.  The returned solution carries exact x and duals, and
-    optimality is re-verified by exact complementary slackness.
+    b may have either sign.  When start_basis yields an invertible,
+    primal-feasible basis, phase 1 is skipped.  The returned solution
+    carries exact x and duals, and optimality is re-verified by exact
+    complementary slackness.
+    """
+
+    return _solve_form(_compile(columns, cost, m), b, start_basis)
+
+
+def _solve_form(form, b, start_basis=None):
+    """solve_standard on a compiled form.
+
+    Row r of the form is scaled once more, by lcm(rscale_r, denom(b_r)) /
+    rscale_r, only when b_r needs it; otherwise the solve runs on the
+    form's own integer columns.  Rows keep the caller's signs: phase 1's
+    artificial for row r is signed as b_r, so that it starts at |b_r|.
 
     Dependent rows stay in place.  An artificial still basic at position i
     after phase 1 has row i of B^-1 A equal to zero, so every later
@@ -314,43 +365,39 @@ def solve_standard(columns, cost, b, m, start_basis=None):
     gets dual 0.
     """
 
-    # sign-normalise and scale each row to integers by the lcm of its
-    # denominators, and the costs by the lcm of theirs
-    fracs = [[(r, numer(v), denom(v)) for r, v in sorted(col)] for col in columns]
-    sign = [-1 if v < 0 else 1 for v in b]
-    rscale = [denom(v) for v in b]
-    for col in fracs:
-        for r, _, dv in col:
-            if dv != 1:
-                rscale[r] = lcm(rscale[r], dv)
-    b_int = [sg * numer(v) * (s // denom(v)) for v, s, sg in zip(b, rscale, sign)]
-    int_cols = [
-        [(r, sign[r] * nv * (rscale[r] // dv)) for r, nv, dv in col]
-        for col in fracs
-    ]
-    cost_int, cscale = integer_row(cost)
-    nstruct = len(int_cols)
-    core = _Core(int_cols, cost_int, b_int, m, rscale, cscale)
+    m = form.m
+    rscale = [lcm(s, denom(v)) for s, v in zip(form.rscale, b)]
+    columns = form.columns
+    if rscale != form.rscale:
+        extra = [s // s0 for s, s0 in zip(rscale, form.rscale)]
+        columns = [[(r, v * extra[r]) for r, v in col] for col in columns]
+    b_int = [numer(v) * (s // denom(v)) for v, s in zip(b, rscale)]
+    nstruct = len(columns)
+    core = _Core(columns, form.cost, b_int, m, rscale, form.cscale,
+                 form.float_cols, form.float_cost)
 
     started = False
     if start_basis is not None:
         started = core.set_basis(list(start_basis))
     if not started:
-        # artificial i is the caller's unit column, so row i's scale
-        for i in range(m):
-            core.columns.append([(i, rscale[i])])
+        # artificial i is the caller's unit column, signed as b_i, in row i's scale
+        sign = [-1 if v < 0 else 1 for v in b_int]
+        core.columns = columns + [[(i, sign[i] * rscale[i])] for i in range(m)]
+        core.float_cols = np.hstack([form.float_cols, np.diag(np.array(sign, dtype=float))])
         core.in_basis = [False] * len(core.columns)
         core.allowed = [True] * len(core.columns)
         core.cost = [0] * nstruct + [1] * m
         core.cscale = 1
+        core.float_cost = np.array(core.cost, dtype=float)
         if not core.set_basis(list(range(nstruct, nstruct + m))):
             raise SimplexError("artificial basis rejected")
         status = core.iterate()
         if status != OPTIMAL or core.prices()[core.m] != 0:
             return LPSolution(status=INFEASIBLE, pivots=core.pivots)
         _drive_out_artificials(core, nstruct)
-        core.cost = cost_int + [0] * (len(core.columns) - nstruct)
-        core.cscale = cscale
+        core.cost = form.cost + [0] * m
+        core.cscale = form.cscale
+        core.float_cost = np.concatenate([form.float_cost, np.zeros(m)])
         for j in range(nstruct, len(core.columns)):
             core.allowed[j] = False
 
@@ -364,11 +411,11 @@ def solve_standard(columns, cost, b, m, start_basis=None):
     acc = core.prices()
     _verify_optimal(core, nstruct, xhat, acc)
     det = core.det
-    den = det * cscale
+    den = det * form.cscale
     x = [Q(v, det) if v else QZERO for v in xhat]
-    # duals in the caller's row order, scaling and sign convention; the
-    # artificial of a dependent row stays basic at cost 0, so its dual is 0
-    duals = [Q(sign[r] * acc[r] * rscale[r], den) for r in range(m)]
+    # duals in the caller's row order and scaling; the artificial of a
+    # dependent row stays basic at cost 0, so its dual is 0
+    duals = [Q(acc[r] * rscale[r], den) for r in range(m)]
     return LPSolution(
         status=OPTIMAL,
         objective=Q(acc[core.m], den),
@@ -428,36 +475,43 @@ class RationalLP:
     Rows are built with add_eq/add_le/add_ge; free quantities are expressed
     by the caller as differences of nonnegative variables.  solve() hands
     the standard form to the revised simplex and maps the objective back;
-    duals stay in the internal minimisation convention.
+    duals stay in the internal minimisation convention.  The standard
+    form's columns and costs are compiled at the first solve and kept
+    until a variable or row is added; with_rhs copies share them.
     """
 
     def __init__(self, maximize=False):
         self.maximize = maximize
         self.obj = []
         self.rows = []  # (coeffs dict, rel, rhs)
+        self._form = [None]  # one-slot cell for the compiled form, shared by with_rhs copies
 
     def variable(self, obj=0):
+        self._form = [None]
         self.obj.append(obj)
         return len(self.obj) - 1
 
-    def add_eq(self, coeffs, rhs):
-        self.rows.append((dict(coeffs), "=", rhs))
+    def _add(self, coeffs, rel, rhs):
+        self._form = [None]
+        self.rows.append((dict(coeffs), rel, rhs))
         return len(self.rows) - 1
+
+    def add_eq(self, coeffs, rhs):
+        return self._add(coeffs, "=", rhs)
 
     def add_le(self, coeffs, rhs):
-        self.rows.append((dict(coeffs), "<=", rhs))
-        return len(self.rows) - 1
+        return self._add(coeffs, "<=", rhs)
 
     def add_ge(self, coeffs, rhs):
-        self.rows.append((dict(coeffs), ">=", rhs))
-        return len(self.rows) - 1
+        return self._add(coeffs, ">=", rhs)
 
     def with_rhs(self, rhs):
-        """This model with new right-hand sides; the row coefficients are shared."""
+        """This model with new right-hand sides; coefficients and compiled form are shared."""
 
         lp = RationalLP(self.maximize)
         lp.obj = list(self.obj)
         lp.rows = [(coeffs, rel, b) for (coeffs, rel, _), b in zip(self.rows, rhs, strict=True)]
+        lp._form = self._form
         return lp
 
     def slack_index(self, row_id):
@@ -471,25 +525,25 @@ class RationalLP:
             raise ValueError("equality rows have no slack")
         return idx
 
+    def compiled(self):
+        """The compiled standard form: variables, then one slack per <=/>= row."""
+
+        if self._form[0] is None:
+            cols = [[] for _ in self.obj]
+            cost = [(-c if self.maximize else c) for c in self.obj]
+            for r, (coeffs, rel, _) in enumerate(self.rows):
+                for j, v in coeffs.items():
+                    if v != 0:
+                        cols[j].append((r, v))
+                if rel != "=":
+                    cols.append([(r, 1 if rel == "<=" else -1)])
+                    cost.append(0)
+            self._form[0] = _compile(cols, cost, len(self.rows))
+        return self._form[0]
+
     def solve(self, start_basis=None) -> LPSolution:
-        nvars = len(self.obj)
-        m = len(self.rows)
-        cols = [[] for _ in range(nvars)]
-        cost = [(-c if self.maximize else c) for c in self.obj]
-        b = []
-        for r, (coeffs, _, rhs) in enumerate(self.rows):
-            b.append(rhs)
-            for j, v in coeffs.items():
-                if v != 0:
-                    cols[j].append((r, v))
-        for r, (_, rel, _) in enumerate(self.rows):
-            if rel == "<=":
-                cols.append([(r, 1)])
-                cost.append(0)
-            elif rel == ">=":
-                cols.append([(r, -1)])
-                cost.append(0)
-        sol = solve_standard(cols, cost, b, m, start_basis=start_basis)
+        b = [rhs for _, _, rhs in self.rows]
+        sol = _solve_form(self.compiled(), b, start_basis)
         if sol.status == OPTIMAL and self.maximize:
             sol.objective = -sol.objective
         return sol

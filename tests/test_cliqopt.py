@@ -434,6 +434,27 @@ def test_lambda_star_c_cached_model_keeps_zero_rhs():
     assert len(model.rows) == 6 + 4
 
 
+def test_lambda_star_c_compiles_the_model_of_an_order_once(monkeypatch):
+    # every call solves a with_rhs copy of the cached model on its compiled form
+    from spectral_lb import simplex as simplex_mod
+    from spectral_lb.cliqopt import _complete_model
+
+    model = _complete_model(6)[0]
+    form = model.compiled()
+    compiles = []
+    real = simplex_mod._compile
+
+    def counting(*args):
+        compiles.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(simplex_mod, "_compile", counting)
+    for g in connected_atlas(6, 6)[:4]:
+        lambda_star_C(g)
+    assert not compiles
+    assert model.compiled() is form
+
+
 def test_chain_on_random_order_eight(rng):
     # the full sweep up to n = 7 lives in the acceptance suite; spot-check
     # the chain at the n = 8 cap of the complete-decomposition LP

@@ -2,6 +2,8 @@
 
 import random
 
+import numpy as np
+
 from spectral_lb.rationals import Q
 from spectral_lb.simplex import (
     INFEASIBLE,
@@ -142,6 +144,63 @@ def test_pivot_limit_guard():
     lp.add_ge({x: Q(1)}, 1)
     sol = lp.solve()
     assert sol.pivots < 50
+
+
+# ---------------------------------------------------------------------------
+# the compiled form: built once per model, shared by with_rhs, never written
+
+
+def _outcome(sol):
+    return sol.status, sol.objective, sol.x, sol.duals, sol.pivots
+
+
+def test_solves_leave_the_compiled_form_unchanged():
+    lp = _beale_lp()
+    form = lp.compiled()
+    snapshot = (
+        [list(col) for col in form.columns],
+        list(form.rscale),
+        list(form.cost),
+        form.float_cols.copy(),
+        form.float_cost.copy(),
+    )
+    slacks = [lp.slack_index(r) for r in range(3)]
+    cold = lp.solve()  # phase 1 appends artificial columns
+    # b's denominators scale rows again, and a negative b signs an artificial
+    lp.with_rhs([Q(1, 3), Q(-2, 7), 1]).solve()
+    warm = lp.solve(start_basis=slacks)
+    assert lp.compiled() is form
+    assert [list(col) for col in form.columns] == snapshot[0]
+    assert (form.rscale, form.cost) == (snapshot[1], snapshot[2])
+    assert np.array_equal(form.float_cols, snapshot[3])
+    assert np.array_equal(form.float_cost, snapshot[4])
+    assert _outcome(warm) == _outcome(_beale_lp().solve(start_basis=slacks))
+    assert warm.objective == cold.objective == Q(-1, 20)
+
+
+def test_adding_to_a_with_rhs_copy_recompiles_that_copy_only():
+    changes = [
+        lambda lp: lp.variable(obj=1),
+        lambda lp: lp.add_ge({0: Q(1)}, Q(1, 10)),
+        lambda lp: lp.add_le({0: Q(1)}, Q(1, 50)),
+        lambda lp: lp.add_eq({3: Q(1)}, 0),
+    ]
+    for change in changes:
+        lp = _beale_lp()
+        form = lp.compiled()
+        copy = lp.with_rhs([0, 0, 1])
+        assert copy.compiled() is form
+        change(copy)
+        expected = _beale_lp()
+        change(expected)
+        assert _outcome(copy.solve()) == _outcome(expected.solve())
+        assert copy.compiled() is not form
+        assert lp.compiled() is form
+        # and a change to the model leaves its earlier copies on the old form
+        copy = lp.with_rhs([0, 0, 1])
+        change(lp)
+        assert copy.compiled() is form
+        assert _outcome(copy.solve()) == _outcome(_beale_lp().solve())
 
 
 # ---------------------------------------------------------------------------
