@@ -32,8 +32,9 @@ from .simplex import OPTIMAL, RationalLP, SimplexError
 
 MAX_CLIQUE_ORDER = 24
 # the lambda*_C model of order n has 2^n - n - 1 + C(n, 2) piece columns and
-# C(n, 2) + n rows: 4,149 and 78 at n = 12, about 4 MB, built in 0.1 s; on a
-# 2-core machine with Python 3.11 the icosahedron (n = 12) takes 3.9 s
+# C(n, 2) + n rows: 4,149 and 78 at n = 12, about 4 MB built in 0.1 s, and
+# 9 MB more once compiled for the simplex (0.2 s, once per order); on a
+# 2-core machine with Python 3.11 the icosahedron (n = 12) takes 1.8 s
 MAX_COMPLETE_ORDER = 12
 MAX_COLOR_ORDER = 18
 

@@ -26,8 +26,13 @@ the optimality audit runs in integers.  Rationals are built only for the
 returned x, duals and objective, in the caller's row scaling.
 
 Columns are sparse (row, value) lists; the basis inverse is dense.
-Pricing is Dantzig's rule with float screening (floats only rank
-candidates; every decision is re-verified exactly).  The first degenerate
+Pricing is a float screen: the columns with float reduced cost rc_j
+below -1e-7 are ranked by rc_j / sqrt(w_j), with w_j a Devex reference
+weight (Harris 1973; Forrest & Goldfarb 1992), a float estimate of the
+column's steepest-edge norm kept up to date from one row of the next
+basis inverse per pivot.  Floats only rank candidates: an exact reduced
+cost confirms each choice and an exact sweep decides optimality, so the
+weights move the pivot path and nothing else.  The first degenerate
 pivot switches the ratio test to a lexicographic perturbation seeded at
 the current basis, which breaks the stall and guarantees termination from
 any starting basis.  A tie is broken by the columns of the seed basis in
@@ -109,6 +114,7 @@ class _Core:
         self.in_basis = [False] * len(columns)
         self.allowed = [True] * len(columns)
         self.blocked = None  # numpy mask mirroring in_basis/allowed
+        self.weights = None  # Devex reference weights, one per column
         self.lex_seed = None  # basis B_seed, only during degenerate stalls
         self.pivots = 0
 
@@ -156,14 +162,6 @@ class _Core:
 
         return self.det * self.cost[j] - sum(y[r] * v for r, v in self.columns[j])
 
-    def _refresh_blocked(self):
-        ncols = len(self.columns)
-        self.blocked = np.fromiter(
-            (self.in_basis[j] or not self.allowed[j] for j in range(ncols)),
-            dtype=bool,
-            count=ncols,
-        )
-
     def _exact_first_negative(self, y):
         for j in range(len(self.columns)):
             if self.in_basis[j] or not self.allowed[j]:
@@ -173,8 +171,10 @@ class _Core:
         return -1
 
     def _float_screened_entering(self, y):
-        """Most negative reduced cost by float ranking, decided exactly.
+        """Entering column by Devex-scaled float ranking, decided exactly.
 
+        The candidates are the columns whose float reduced cost rc_j is
+        below -1e-7, ranked by rc_j / sqrt(w_j) with w_j the Devex weight.
         Floats only order the candidates; every selection is confirmed with
         an exact reduced cost, and a full exact sweep settles the borderline
         and no-candidate cases, so optimality claims never rest on floats.
@@ -184,14 +184,43 @@ class _Core:
         yf = np.array([v * s / den for v, s in zip(y, self.rscale)])
         rc = self.float_cost - yf @ self.float_cols
         rc[self.blocked] = np.inf
+        score = np.where(rc < -1e-7, rc / np.sqrt(self.weights), np.inf)
         for _ in range(12):
-            j = int(np.argmin(rc))
-            if not np.isfinite(rc[j]) or rc[j] >= -1e-7:
+            j = int(np.argmin(score))
+            if not np.isfinite(score[j]):
                 break
             if self.reduced_cost(j, y) < 0:
                 return j
-            rc[j] = np.inf
+            score[j] = np.inf
         return self._exact_first_negative(y)
+
+    def _devex_update(self, enter, leave, d):
+        """Devex reference weights for the basis after this pivot.
+
+        alpha_j = (B^-1 a_j)_r / (B^-1 a_enter)_r = A^_r . a_j / d^_r for
+        the leaving row r, one float row times the float matrix.  Each
+        weight becomes max(w_j, alpha_j^2 w_enter), and the leaving
+        column's max(w_enter / (d^_r / D)^2, 1).  The ratios are taken of
+        exact integers, so entries of A^ too large for a float do not
+        overflow; a weight that is not finite restarts at 1.  So every
+        weight stays finite and at least 1, which the screen divides by.
+        """
+
+        w = self.weights
+        p = d[leave]
+        w_enter = w[enter]
+        try:
+            row = np.array([x * s / p for x, s in zip(self.rows[leave], self.rscale)])
+            alpha_enter = p / self.det
+        except OverflowError:
+            w[:] = 1.0
+            return
+        alpha = row @ self.float_cols
+        alpha *= alpha
+        alpha *= w_enter
+        np.maximum(w, alpha, out=w)
+        w[self.basis[leave]] = max(w_enter / (alpha_enter * alpha_enter), 1.0)
+        w[~np.isfinite(w)] = 1.0
 
     def _choose_leaving(self, d):
         """Minimum-ratio row; Bland-style tie-break outside lex mode.
@@ -259,7 +288,13 @@ class _Core:
         return ties[0]
 
     def iterate(self):
-        self._refresh_blocked()
+        ncols = len(self.columns)
+        self.blocked = np.fromiter(
+            (self.in_basis[j] or not self.allowed[j] for j in range(ncols)),
+            dtype=bool,
+            count=ncols,
+        )
+        self.weights = np.ones(ncols)
         self.lex_seed = None
         m = self.m
         last = None
@@ -286,6 +321,7 @@ class _Core:
 
     def _pivot(self, enter, leave, d):
         self.pivots += 1
+        self._devex_update(enter, leave, d)
         bareiss_step(self.rows, leave, d, self.det)
         self.det = d[leave]
         if self.det < 0:
@@ -350,6 +386,8 @@ def solve_standard(columns, cost, b, m, start_basis=None):
     return _solve_form(_compile(columns, cost, m), b, start_basis)
 
 
+# the floats only rank candidates, so an overflow there is not an error
+@np.errstate(all="ignore")
 def _solve_form(form, b, start_basis=None):
     """solve_standard on a compiled form.
 

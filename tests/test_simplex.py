@@ -513,3 +513,73 @@ def test_lex_shortcut_matches_full_rule(monkeypatch, rng=random.Random(11)):
         consulted += ref_core.basic_seed_ties
     # the shortcut actually decided ties in this sample
     assert consulted > 0
+
+
+# ---------------------------------------------------------------------------
+# the float screen only ranks: any Devex weights give the same optimum
+
+
+class _GarbageWeights(simplex_mod._Core):
+    """_Core whose Devex weights are random, huge, infinite or NaN at every pricing."""
+
+    rng = random.Random(19)
+
+    def _float_screened_entering(self, y):
+        picks = (
+            lambda: self.rng.uniform(0.0, 10.0),
+            lambda: 1e300,
+            lambda: float("inf"),
+            lambda: float("nan"),
+        )
+        self.weights = np.array([self.rng.choice(picks)() for _ in self.weights])
+        return super()._float_screened_entering(y)
+
+
+def test_devex_weights_never_decide(monkeypatch, rng=random.Random(11)):
+    lps = [_beale_lp()] + [_random_degenerate_lp(rng) for _ in range(150)]
+    for lp in lps:
+        ref = lp.solve()
+        sol, _ = _solve_with(monkeypatch, _GarbageWeights, lp)
+        assert (sol.status, sol.objective) == (ref.status, ref.objective)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_random_lp())
+def test_devex_weights_never_decide_against_highs(lp_spec):
+    cost, rows, maximize = lp_spec
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex_mod, "_Core", _GarbageWeights)
+        sol = _build(cost, rows, maximize).solve()
+    ref = _highs(cost, rows, maximize)
+    assert sol.status == {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[ref.status]
+    if sol.status == OPTIMAL:
+        assert float(sol.objective) == pytest.approx(-ref.fun if maximize else ref.fun, abs=1e-7)
+        _assert_dual_certificate(sol, cost, rows, maximize)
+
+
+def _devex_core(rows, det, weights):
+    # one row, three columns: (1), (2), (1/3 in a row scaled by 3)
+    columns = [[(0, 3)], [(0, 6)], [(0, 1)]]
+    core = simplex_mod._Core(
+        columns, [0, 0, 0], [3], 1, [3], 1, np.array([[1.0, 2.0, 1 / 3]]), np.zeros(3)
+    )
+    core.basis, core.rows, core.det = [0], rows, det
+    core.weights = np.array(weights, dtype=float)
+    return core
+
+
+def test_devex_update_is_exact_where_floats_overflow():
+    # A^ = 10^400 over D = 3 * 10^400 (B^-1 = 1/3); column 1 enters with d^ = 6 * 10^400
+    big = 10**400
+    core = _devex_core([[big, big]], 3 * big, [1.0, 16.0, 1.0])
+    core._devex_update(1, 0, [6 * big])
+    # alpha = (1/2, 1, 1/6) and d^/D = 2: the leaving column gets max(16 / 2^2, 1)
+    assert core.weights.tolist() == pytest.approx([4.0, 16.0, 1.0])
+    # a ratio that no float holds restarts every weight at 1
+    core = _devex_core([[big, big]], 1, [5.0, 4.0, 3.0])
+    core._devex_update(1, 0, [1])
+    assert core.weights.tolist() == [1.0, 1.0, 1.0]
+    # weights that are not finite restart at 1
+    core = _devex_core([[1, 1]], 3, [float("nan"), float("inf"), float("inf")])
+    core._devex_update(1, 0, [6])
+    assert core.weights.tolist() == [1.0, 1.0, 1.0]
