@@ -60,7 +60,6 @@ from .spectra import (
     Spectrum,
     lambda_min,
     lambda_min_exact,
-    psd_check,
     psd_check_exact,
     rational_nullspace,
     spectrum,

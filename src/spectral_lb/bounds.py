@@ -22,6 +22,7 @@ from .cliqopt import (
     independence_number,
     lambda_star_C,
     lambda_star_K,
+    maximal_cliques,
     turan_t,
 )
 from .decomp import (
@@ -32,9 +33,9 @@ from .decomp import (
     min_real_cubic_root,
     validate_partition,
 )
-from .graphs import SimpleGraph, bipartition, diameter, direct_product, is_connected
+from .graphs import SimpleGraph, bipartition, bit_indices, diameter, direct_product, is_connected
 from .rationals import Q
-from .spectra import lambda_max, lambda_min, spectrum
+from .spectra import lambda_max, lambda_min, lambda_min_exact, psd_check_exact, spectrum
 
 MAX_BETA_ORDER = 14
 MAX_ORBIT_ORDER = 10
@@ -314,7 +315,9 @@ def cubic_clawfree_check(g: SimpleGraph) -> ClawfreeCubicReport:
     Classifies every neighbourhood as K1 u K2 or K_{1,2}, finds all diamonds
     and their middle edges (asserting distinct diamonds are vertex
     disjoint), and certifies lambda >= -2 via the unique triangle/edge
-    partition when no K_{1,2} neighbourhood occurs.
+    partition when no K_{1,2} neighbourhood occurs.  Then every edge lies
+    in exactly one maximal clique, so the maximal cliques are that
+    partition; A + 2I is checked positive semidefinite exactly.
     """
 
     d = g.regular_degree()
@@ -327,7 +330,6 @@ def cubic_clawfree_check(g: SimpleGraph) -> ClawfreeCubicReport:
     free, witness = is_K1k_free(g, 3)
     if not free:
         raise ValueError(f"graph has an induced claw at {witness}")
-    rows = g.rows
     kinds = []
     for v in range(g.n):
         nbrs = list(g.neighbors(v))
@@ -353,27 +355,12 @@ def cubic_clawfree_check(g: SimpleGraph) -> ClawfreeCubicReport:
         raise CertificateError(f"lambda {lam} dips below theta {theta}")
     triangle_bound = None
     if all(kind == "K1+K2" for kind in kinds):
-        cliques = []
-        seen_tri = set()
-        for v in range(g.n):
-            nbrs = list(g.neighbors(v))
-            for a, b in combinations(nbrs, 2):
-                if g.has_edge(a, b):
-                    seen_tri.add(tuple(sorted((v, a, b))))
-        tri_edges = set()
-        for tri in seen_tri:
-            cliques.append(tri)
-            tri_edges.update(
-                (min(x, y), max(x, y)) for x, y in combinations(tri, 2)
-            )
-        for e in g.edges():
-            if e not in tri_edges:
-                cliques.append(e)
-        part = CliquePartition(1, tuple(cliques))
+        part = CliquePartition(1, tuple(tuple(bit_indices(c)) for c in maximal_cliques(g)))
         triangle_bound = clique_partition_bound(part, g)
         if triangle_bound != Q(-2):
             raise CertificateError("triangle/edge partition should give exactly -2")
-        if lam < -2 - 1e-8:
+        shifted = [[2 * (u == v) + g.has_edge(u, v) for v in range(g.n)] for u in range(g.n)]
+        if not psd_check_exact(shifted):
             raise CertificateError("lambda must be at least -2 here")
     return ClawfreeCubicReport(lam, theta, tuple(kinds), diamonds, middles, triangle_bound)
 
@@ -457,7 +444,7 @@ def product_tightness(g1: SimpleGraph, k1: CliquePartition, g2: SimpleGraph, k2:
         _, r, _ = clique_partition_stats(k, g)
         if Q(r, k.mu) != Q(d, c - 1):
             raise ValueError("supplied partition does not attain -k/(c-1)")
-        if abs(lambda_min(g) - float(Q(-d, c - 1))) > 1e-8:
+        if lambda_min_exact(g.adjacency(dtype=object), hint=lambda_min(g)) != Q(-d, c - 1):
             raise ValueError("supplied certificate does not match lambda(G_i)")
     prod = direct_product(g1, g2)
     validate_partition(part, prod)
@@ -469,7 +456,7 @@ def product_tightness(g1: SimpleGraph, k1: CliquePartition, g2: SimpleGraph, k2:
         "partition_bound": clique_partition_bound(part, prod),
         "mu": part.mu,
     }
-    if abs(lam - float(expected)) > 1e-8:
+    if lambda_min_exact(prod.adjacency(dtype=object), hint=lam) != expected:
         raise CertificateError("product eigenvalue does not match -k1 k2/(c1-1)")
     if prod.n <= MAX_CLIQUE_ORDER:
         star = lambda_star_K(prod)
@@ -561,20 +548,15 @@ def is_edge_transitive(g: SimpleGraph) -> bool:
     return True
 
 
-def vertrans_bound(g: SimpleGraph, assert_transitive: bool = False):
+def vertrans_bound(g: SimpleGraph):
     """lambda = -k/(omega - 1) for vertex- and edge-transitive G with alpha omega = n.
 
-    Transitivity is established by brute-force orbit checks for n <= 10;
-    larger graphs need assert_transitive=True from the caller, in which
-    case the result is conditional on that claim.  Returns None when the
-    hypotheses fail or cannot be established.
+    Transitivity is established by brute-force orbit checks for n <= 10.
+    Returns None when the hypotheses fail or cannot be established.
     """
 
-    if not assert_transitive:
-        if g.n > MAX_ORBIT_ORDER:
-            return None
-        if not (is_vertex_transitive(g) and is_edge_transitive(g)):
-            return None
+    if g.n > MAX_ORBIT_ORDER or not (is_vertex_transitive(g) and is_edge_transitive(g)):
+        return None
     alpha = independence_number(g)
     omega = clique_number(g)
     if alpha * omega != g.n or omega < 2:
@@ -589,10 +571,11 @@ def vertrans_bound(g: SimpleGraph, assert_transitive: bool = False):
 
 @dataclass
 class BoundEntry:
+    """One bound of a report; value is a Fraction exactly when the bound is exact."""
+
     name: str
     kind: str  # "lower" | "upper"
-    value: float
-    exact: object | None = None
+    value: object
     tight: bool | None = None
     note: str = ""
 
@@ -634,9 +617,9 @@ def bound_report(g: SimpleGraph, name: str = "graph", partition: CliquePartition
     if g.m > 0 and g.n <= MAX_COLOR_ORDER:
         chi_f, chi = fractional_chromatic(g), chromatic_number(g)
 
-    def put(entry_name, kind, value, exact=None, note=""):
+    def put(entry_name, kind, value, note=""):
         tight = abs(value - lam) <= TIGHT_TOL
-        rep.entries.append(BoundEntry(entry_name, kind, value, exact, tight, note))
+        rep.entries.append(BoundEntry(entry_name, kind, value, tight, note))
 
     def fits(entry_names, cap):
         if g.n <= cap:
@@ -657,14 +640,12 @@ def bound_report(g: SimpleGraph, name: str = "graph", partition: CliquePartition
             put("star_free_k3", "lower", aab_lower(g, 3))
     if partition is not None:
         b = clique_partition_bound(partition, g)
-        put("clique_partition", "lower", float(b), b, note=f"mu={partition.mu}")
+        put("clique_partition", "lower", b, note=f"mu={partition.mu}")
     if lp and g.m > 0:
         if fits(["lambda_star_K"], MAX_CLIQUE_ORDER):
-            star_k = lambda_star_K(g)
-            put("lambda_star_K", "lower", float(star_k.value), star_k.value)
+            put("lambda_star_K", "lower", lambda_star_K(g).value)
         if fits(["lambda_star_C"], REPORT_COMPLETE_ORDER):
-            star_c = lambda_star_C(g)
-            put("lambda_star_C", "lower", float(star_c.value), star_c.value)
+            put("lambda_star_C", "lower", lambda_star_C(g).value)
     if k is not None and k > 0:
         if fits(["hoffman"], MAX_CLIQUE_ORDER):
             put("hoffman", "upper", hoffman_upper(g))

@@ -23,7 +23,7 @@ from .graph_io import (
     partition_from_json,
     require_simple,
 )
-from .rationals import format_q
+from .rationals import format_q, is_rational
 from .reproduce import build_rows, format_table, rows_to_json
 from .simplex import SimplexError
 from .spectra import EXACT_MAX_ORDER, spectrum, verified_integer_eigenvalues
@@ -87,8 +87,8 @@ def _cmd_bounds(args) -> int:
             {
                 "name": en.name,
                 "kind": en.kind,
-                "value": round(en.value, 12),
-                "exact": format_q(en.exact) if en.exact is not None else None,
+                "value": round(float(en.value), 12),
+                "exact": format_q(en.value) if is_rational(en.value) else None,
                 "tight": bool(en.tight),
                 "note": en.note,
             }
@@ -103,10 +103,10 @@ def _cmd_bounds(args) -> int:
         names = [en.name for en in rep.entries] + [name for name, _ in rep.skipped]
         width = max(map(len, names), default=4)
         for en in rep.entries:
-            exact = f" = {format_q(en.exact)}" if en.exact is not None else ""
+            exact = f" = {format_q(en.value)}" if is_rational(en.value) else ""
             tight = " tight" if en.tight else ""
             note = f" [{en.note}]" if en.note else ""
-            print(f"  {en.name.ljust(width)}  {en.kind:5s}  {en.value:+.12f}{exact}{tight}{note}")
+            print(f"  {en.name.ljust(width)}  {en.kind:5s}  {float(en.value):+.12f}{exact}{tight}{note}")
         for name, reason in rep.skipped:
             print(f"  {name.ljust(width)}  skipped [{reason}]")
     bad = rep.violations

@@ -371,6 +371,6 @@ def lambda_star_C(h) -> LambdaStarResult:
     mult = {("J" if len(s) == 1 else "K", s): c for s, c in counts.items()}
     decomp_pieces = [complete_piece(kind, s, c) for (kind, s), c in mult.items()]
     bound = decomposition_bound(decomposition(scale(h, mu), decomp_pieces))
-    if bound.exact != sol.objective * mu:
+    if bound.value != sol.objective * mu:
         raise CertificateError("lambda*_C certificate failed to re-validate")
-    return LambdaStarResult(sol.objective, mu, mult, bound.per_vertex_exact, sol.pivots)
+    return LambdaStarResult(sol.objective, mu, mult, bound.per_vertex, sol.pivots)

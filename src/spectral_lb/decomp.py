@@ -21,6 +21,7 @@ from .graphs import (
     Multigraph,
     SimpleGraph,
     WeightedGraph,
+    add,
     as_weighted,
     cartesian_product,
     embed,
@@ -32,7 +33,7 @@ from .graphs import (
     weighted_from_multigraph,
     weighted_from_simple,
 )
-from .rationals import Q, QZERO, as_q
+from .rationals import Q, QZERO, as_q, is_rational
 from .spectra import lambda_min_exact, rational_nullspace, spectrum
 
 
@@ -95,28 +96,18 @@ def decomposition(target, pieces) -> Decomposition:
 def validate(d: Decomposition) -> None:
     """Check that the embedded piece weights sum exactly to the target weights."""
 
-    total = {}
+    n = d.target.n
+    total = WeightedGraph(n, {})
     for p in d.pieces:
-        for pair, w in p.embedded(d.target.n).weights.items():
-            s = total.get(pair, QZERO) + w
-            if s == 0:
-                total.pop(pair, None)
-            else:
-                total[pair] = s
-    if total != d.target.weights:
+        total = add(total, p.embedded(n))
+    if total.weights != d.target.weights:
         bad = []
-        for pair in sorted(set(total) | set(d.target.weights)):
-            got = total.get(pair, QZERO)
-            want = d.target.weights.get(pair, QZERO)
+        for pair in sorted(set(total.weights) | set(d.target.weights)):
+            got = total.weight(*pair)
+            want = d.target.weight(*pair)
             if got != want:
                 bad.append(f"{pair}: sum {got} != target {want}")
         raise DecompositionError("weight mismatch at " + "; ".join(bad[:8]))
-
-
-@dataclass(frozen=True)
-class PieceLambda:
-    value: float
-    exact: object | None  # rational when the minimum eigenvalue is certified
 
 
 def _uniform_weight(h: WeightedGraph):
@@ -159,92 +150,82 @@ def complete_lambda(kind: str, s: int, a):
     return QZERO if a > 0 else a * s
 
 
-def piece_lambda(h) -> PieceLambda:
-    """Smallest eigenvalue of a piece, exact when it is rational.
+def piece_lambda(h):
+    """Smallest eigenvalue of a piece: a Fraction when certified, else a float.
 
     Scaled I/J/K pieces have closed forms; any other piece hands the
     eigensolver's minimum to lambda_min_exact as the hint, which certifies
     the one rational candidate k/s (s the lcm of the weights'
-    denominators) or leaves an irrational minimum as a float.
+    denominators) or leaves an irrational minimum as the float.
     """
 
     h = as_weighted(h)
     if h.is_zero:
-        return PieceLambda(0.0, QZERO)
+        return QZERO
     shape = _special_shape(h)
     if shape is not None:
         kind, c = shape
-        val = c if kind == "I" else complete_lambda(kind, h.n, c)
-        return PieceLambda(float(val), val)
-    spec = spectrum(h.adjacency(dtype=float))
-    exact = lambda_min_exact(h.adjacency_q(), hint=spec.lambda_min)
-    return PieceLambda(spec.lambda_min if exact is None else float(exact), exact)
+        return c if kind == "I" else complete_lambda(kind, h.n, c)
+    lam = spectrum(h.adjacency(dtype=float)).lambda_min
+    exact = lambda_min_exact(h.adjacency_q(), hint=lam)
+    return lam if exact is None else exact
 
 
 @dataclass(frozen=True)
 class DecompositionBound:
-    """min-per-vertex bound together with the full per-vertex table."""
+    """min-per-vertex bound together with the full per-vertex table.
 
-    value: float
-    per_vertex: tuple[float, ...]
-    exact: object | None
-    per_vertex_exact: tuple | None
+    value and every per_vertex entry are Fractions when every piece
+    minimum is certified rational, floats otherwise.
+    """
+
+    value: object
+    per_vertex: tuple
 
 
 def _vertex_table(d: Decomposition):
-    """(piece minima, per-vertex sums, whether every minimum is exact).
+    """(piece minima, per-vertex sums).
 
-    The sums are exact rationals when every piece minimum is, floats
+    Both are exact rationals when every piece minimum is, floats
     otherwise.
     """
 
     lambdas = [piece_lambda(p.graph) for p in d.pieces]
-    exact = all(pl.exact is not None for pl in lambdas)
+    exact = all(map(is_rational, lambdas))
+    if not exact:
+        lambdas = [float(lam) for lam in lambdas]
     table = [QZERO if exact else 0.0] * d.target.n
-    for p, pl in zip(d.pieces, lambdas):
-        lam = pl.exact if exact else pl.value
+    for p, lam in zip(d.pieces, lambdas):
         for u in p.embedding:
             table[u] += lam
-    return lambdas, table, exact
+    return lambdas, table
 
 
 def decomposition_bound(d: Decomposition) -> DecompositionBound:
     """Lower bound min over vertices u of the summed piece minima at u."""
 
     validate(d)
-    _, table, exact = _vertex_table(d)
-    if exact:
-        value = min(table)
-        return DecompositionBound(
-            float(value), tuple(float(x) for x in table), value, tuple(table)
-        )
-    return DecompositionBound(min(table), tuple(table), None, None)
+    _, table = _vertex_table(d)
+    return DecompositionBound(min(table), tuple(table))
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Equality certificate: a nonzero null vector of the shifted matrix."""
-
-    vector: tuple
-    exact: bool
-
-
-def equality_certificate(d: Decomposition) -> Certificate | None:
-    """Search for the decomposition-bound equality certificate.
+def equality_certificate(d: Decomposition) -> tuple | None:
+    """The decomposition-bound equality certificate as a vector, or None.
 
     Once the pieces sum to A(H), the theorem's matrix
     sum_j (M_j - lambda(H^j) E_j) + (rI - R) with r = -lambda_D is
     A(H) - lambda_D I, so a certificate is a nonzero null vector of it that
     meets the support and eigenvector conditions.  The kernel search is
-    exact rational when every piece minimum is certified rational, and a
-    floating eigensolver kernel (tolerance 1e-8) otherwise.
+    exact when every piece minimum is certified rational, and returns a
+    vector of Fractions; otherwise it takes a floating eigensolver kernel
+    (tolerance 1e-8) and returns floats.
     """
 
     validate(d)
     n = d.target.n
-    lambdas, table, exact = _vertex_table(d)
+    lambdas, table = _vertex_table(d)
     lam_d = min(table)
-    if exact:
+    if is_rational(lam_d):
         a = d.target.adjacency_q()
         for u in range(n):
             a[u][u] -= lam_d
@@ -253,7 +234,7 @@ def equality_certificate(d: Decomposition) -> Certificate | None:
             return None
         x = kernel[0]
         _verify_conditions_exact(d, lambdas, table, x)
-        return Certificate(tuple(x), True)
+        return tuple(x)
     spec = spectrum(d.target.adjacency(dtype=float) - lam_d * np.eye(n))
     scale_ = 1.0 + float(np.max(np.abs(spec.values))) if n else 1.0
     null_cols = [i for i, v in enumerate(spec.values) if abs(v) <= 1e-8 * scale_]
@@ -262,7 +243,7 @@ def equality_certificate(d: Decomposition) -> Certificate | None:
     x = spec.vectors[:, null_cols[0]]
     if not _conditions_hold_float(d, lambdas, table, x):
         return None
-    return Certificate(tuple(float(v) for v in x), False)
+    return tuple(float(v) for v in x)
 
 
 def _conditions_hold_float(d, lambdas, table, x, tol=1e-6):
@@ -270,12 +251,12 @@ def _conditions_hold_float(d, lambdas, table, x, tol=1e-6):
     for u, t in enumerate(table):
         if t > lam_d + tol and abs(x[u]) > tol:
             return False
-    for piece, pl in zip(d.pieces, lambdas):
+    for piece, lam in zip(d.pieces, lambdas):
         xj = np.array([x[u] for u in piece.embedding])
         if np.max(np.abs(xj)) <= tol:
             continue
         aj = piece.graph.adjacency(dtype=float)
-        if np.max(np.abs(aj @ xj - pl.value * xj)) > tol:
+        if np.max(np.abs(aj @ xj - lam * xj)) > tol:
             return False
     return True
 
@@ -285,14 +266,14 @@ def _verify_conditions_exact(d, lambdas, table, x):
     for u, t in enumerate(table):
         if t != lam_d and x[u] != 0:
             raise CertificateError("certificate violates the support condition")
-    for piece, pl in zip(d.pieces, lambdas):
+    for piece, lam in zip(d.pieces, lambdas):
         emb = piece.embedding
         xj = [x[u] for u in emb]
         if all(v == 0 for v in xj):
             continue
         aj = piece.graph.adjacency_q()
         for i in range(piece.graph.n):
-            acc = -pl.exact * xj[i]
+            acc = -lam * xj[i]
             for j in range(piece.graph.n):
                 acc = acc + aj[i][j] * xj[j]
             if acc != 0:

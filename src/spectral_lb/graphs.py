@@ -201,15 +201,6 @@ class WeightedGraph:
                 a[v, u] = val
         return a
 
-    def support(self) -> set[int]:
-        """Vertices incident to at least one nonzero weight."""
-
-        out = set()
-        for u, v in self.weights:
-            out.add(u)
-            out.add(v)
-        return out
-
 
 def build_weighted(n: int, weights, labels=None) -> WeightedGraph:
     """Weighted graph from a {pair: rational} mapping; zero weights are pruned."""

@@ -188,15 +188,11 @@ def build_rows(perturb: str | None = None, select: str | None = None) -> list[Re
 
 def _rows_special():
     e = "special-graphs"
-    j1 = piece_lambda(special_graph("J", 1))
-    j4 = piece_lambda(special_graph("J", 4))
-    mj5 = piece_lambda(scale(special_graph("J", 5), -1))
-    mk4 = piece_lambda(scale(special_graph("K", 4), -1))
     return [
-        _row(e, "lambda(J_1)", Q(1), j1.exact),
-        _row(e, "lambda(J_4)", Q(0), j4.exact),
-        _row(e, "lambda(-J_5)", Q(-5), mj5.exact),
-        _row(e, "lambda(-K_4)", Q(-3), mk4.exact),
+        _row(e, "lambda(J_1)", Q(1), piece_lambda(special_graph("J", 1))),
+        _row(e, "lambda(J_4)", Q(0), piece_lambda(special_graph("J", 4))),
+        _row(e, "lambda(-J_5)", Q(-5), piece_lambda(scale(special_graph("J", 5), -1))),
+        _row(e, "lambda(-K_4)", Q(-3), piece_lambda(scale(special_graph("K", 4), -1))),
     ]
 
 
@@ -284,7 +280,7 @@ def _rows_hamming():
     rows.append(_row(e, "lambda(Q_3)", -3.0, lambda_min(q3), tol=1e-9, provenance="eigensolver"))
     d = cartesian_copy_decomposition(catalog.complete(3), catalog.complete(3), k33)
     b = decomposition_bound(d)
-    rows.append(_row(e, "copy decomposition bound", Q(-2), b.exact, provenance="per-vertex sums"))
+    rows.append(_row(e, "copy decomposition bound", Q(-2), b.value, provenance="per-vertex sums"))
     return rows
 
 
@@ -311,7 +307,7 @@ def _rows_multipartite():
     e = "multipartite"
     rows = []
     dec = multipartite_decomposition([2, 2])
-    rows.append(_row(e, "K_{2,2} J-bound", Q(-2), decomposition_bound(dec).exact))
+    rows.append(_row(e, "K_{2,2} J-bound", Q(-2), decomposition_bound(dec).value))
     cert = equality_certificate(dec)
     rows.append(_row(e, "K_{2,2} equality certificate", True, cert is not None, provenance="exact kernel"))
     rows.append(_row(e, "lambda(K_{2,2})", -2.0, lambda_min(catalog.complete_multipartite([2, 2])), tol=1e-9, provenance="eigensolver"))

@@ -143,23 +143,6 @@ def rational_rank(mat) -> int:
     return len(bareiss_eliminate([integer_row(row)[0] for row in mat], jordan=False)[0])
 
 
-def psd_check(p, tol: float = 1e-10):
-    """Floating PSD verdict via the eigensolver.
-
-    Returns (True, None) when positive semidefinite within tol, else
-    (False, witness) where the witness is an eigenvector of the most
-    negative eigenvalue.
-    """
-
-    spec = spectrum(p)
-    if len(spec.values) == 0:
-        return True, None
-    scale = 1.0 + float(np.max(np.abs(spec.values)))
-    if spec.values[0] >= -tol * scale:
-        return True, None
-    return False, spec.vectors[:, 0].copy()
-
-
 def _require_symmetric(a) -> None:
     n = len(a)
     for i, row in enumerate(a):

@@ -158,7 +158,7 @@ def test_criterion_3_decomposition_soundness():
         if cert is None:
             continue
         certificates += 1
-        x = [float(v) for v in cert.vector]
+        x = [float(v) for v in cert]
         table = b.per_vertex
         lam_d = min(table)
         for u, t in enumerate(table):
@@ -171,7 +171,7 @@ def test_criterion_3_decomposition_soundness():
             aj = piece.graph.adjacency(dtype=float)
             from spectral_lb.decomp import piece_lambda
 
-            lam_j = piece_lambda(piece.graph).value
+            lam_j = float(piece_lambda(piece.graph))
             for i in range(piece.graph.n):
                 resid = sum(aj[i][j] * xj[j] for j in range(piece.graph.n)) - lam_j * xj[i]
                 assert abs(resid) <= 1e-6, "eigenvector condition violated"

@@ -54,10 +54,16 @@ from spectral_lb.graphs import (
     twig_replicate,
     weighted_from_simple,
 )
-from spectral_lb.rationals import Q
+from spectral_lb.rationals import Q, is_rational
 from spectral_lb.spectra import lambda_min
 
 GOLDEN = (1 + math.sqrt(5)) / 2
+
+
+def exactly(x, want):
+    """x is an exact rational (not a float) equal to want."""
+
+    return is_rational(x) and x == want
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +72,7 @@ GOLDEN = (1 + math.sqrt(5)) / 2
 
 def test_validate_multipartite_identity():
     b = decomposition_bound(multipartite_decomposition([2, 2]))
-    assert b.exact == Q(-2) and all(t == Q(-2) for t in b.per_vertex_exact)
+    assert exactly(b.value, Q(-2)) and all(exactly(t, Q(-2)) for t in b.per_vertex)
 
 
 def test_validate_petersen_cube():
@@ -103,30 +109,25 @@ def test_validate_reports_offending_pair():
     ],
 )
 def test_piece_lambda_closed_forms(piece, want):
-    pl = piece_lambda(piece)
-    assert pl.exact == want
-    assert pl.value == pytest.approx(float(want), abs=1e-12)
+    assert exactly(piece_lambda(piece), want)
 
 
 def test_piece_lambda_scaled_cycle():
-    pl = piece_lambda(scale(weighted_from_simple(cycle(5)), 2))
-    assert pl.exact is None
-    assert pl.value == pytest.approx(-2 * GOLDEN, abs=1e-9)
+    lam = piece_lambda(scale(weighted_from_simple(cycle(5)), 2))
+    assert isinstance(lam, float)
+    assert lam == pytest.approx(-2 * GOLDEN, abs=1e-9)
 
 
 def test_piece_lambda_uniform_integer_graph():
-    pl = piece_lambda(scale(weighted_from_simple(petersen()), 3))
-    assert pl.exact == Q(-6)
-    pl_neg = piece_lambda(scale(weighted_from_simple(petersen()), -1))
-    assert pl_neg.exact == Q(-3)  # -lambda_max
+    assert exactly(piece_lambda(scale(weighted_from_simple(petersen()), 3)), Q(-6))
+    assert exactly(piece_lambda(scale(weighted_from_simple(petersen()), -1)), Q(-3))  # -lambda_max
 
 
 def test_piece_lambda_rational_noninteger_minimum():
     # the path 3/61 - 4/61 has eigenvalues 0 and +-5/61; the candidate k/61
     # comes from the lcm of the weights' denominators
-    pl = piece_lambda(build_weighted(3, {(0, 1): Q(3, 61), (1, 2): Q(4, 61)}))
-    assert pl.exact == Q(-5, 61)
-    assert pl.value == pytest.approx(-5 / 61, abs=1e-15)
+    lam = piece_lambda(build_weighted(3, {(0, 1): Q(3, 61), (1, 2): Q(4, 61)}))
+    assert exactly(lam, Q(-5, 61))
 
 
 # ---------------------------------------------------------------------------
@@ -137,16 +138,16 @@ def test_single_piece_is_exact():
     g = petersen()
     d = decomposition(weighted_from_simple(g), [weighted_from_simple(g)])
     b = decomposition_bound(d)
-    assert b.exact == Q(-2)
+    assert exactly(b.value, Q(-2))
     cert = equality_certificate(d)
-    assert cert is not None and cert.exact
+    assert cert is not None and all(is_rational(v) for v in cert)
 
 
 def test_cartesian_copy_bound():
     k3 = complete(3)
     d = cartesian_copy_decomposition(k3, k3)
     b = decomposition_bound(d)
-    assert b.exact == Q(-2)
+    assert exactly(b.value, Q(-2))
     assert lambda_min(cartesian_product(k3, k3)) == pytest.approx(-2, abs=1e-9)
 
 
@@ -227,7 +228,7 @@ def test_equality_certificate_float_path():
     c5 = weighted_from_simple(cycle(5))
     d = decomposition(scale(c5, 2), [c5, c5])
     cert = equality_certificate(d)
-    assert cert is not None and not cert.exact
+    assert cert is not None and not all(is_rational(v) for v in cert)
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +239,14 @@ def test_complete_bound_multipartite_families():
     for parts in ([2, 2], [3, 3, 1], [4, 2, 2], [2, 1]):
         dec = multipartite_decomposition(parts)
         assert dec.target == weighted_from_simple(complete_multipartite(parts))
-        bound = decomposition_bound(dec).exact
-        assert bound == Q(-max(parts))
+        bound = decomposition_bound(dec).value
+        assert exactly(bound, Q(-max(parts)))
         lam = lambda_min(complete_multipartite(parts))
         assert float(bound) <= lam + 1e-9
         cert = equality_certificate(dec)
         two_largest_equal = sorted(parts)[-1] == sorted(parts)[-2]
         assert (cert is not None) == two_largest_equal
-        assert cert is None or cert.exact
+        assert cert is None or all(is_rational(v) for v in cert)
 
 
 def test_complete_bound_k4_with_single_loops():
@@ -254,13 +255,13 @@ def test_complete_bound_k4_with_single_loops():
     pieces += [complete_piece("J", [u], -1) for u in range(4)]
     dec = decomposition(weighted_from_simple(complete(4)), pieces)
     b = decomposition_bound(dec)
-    assert b.exact == Q(-1) and all(t == Q(-1) for t in b.per_vertex_exact)
+    assert exactly(b.value, Q(-1)) and all(exactly(t, Q(-1)) for t in b.per_vertex)
 
 
 def test_complete_certificate_knn():
     cert = equality_certificate(multipartite_decomposition([3, 3]))
-    assert cert is not None and cert.exact
-    x = cert.vector
+    assert cert is not None and all(is_rational(v) for v in cert)
+    x = cert
     # constant on each part, opposite signs
     assert len(set(x[:3])) == 1 and len(set(x[3:])) == 1
     assert 3 * x[0] + 3 * x[3] == 0
@@ -277,7 +278,7 @@ def test_complete_validation_catches_mismatch():
 def test_complete_piece_is_a_scaled_special_graph():
     p = complete_piece("K", [3, 0, 2], Q(-3, 2))
     assert p == Piece(scale(special_graph("K", 3), Q(-3, 2)), (0, 2, 3))
-    assert piece_lambda(p.graph).exact == Q(-3)  # a(s - 1) for a < 0
+    assert exactly(piece_lambda(p.graph), Q(-3))  # a(s - 1) for a < 0
     for args in (("I", [0, 1], 1), ("K", [0, 0, 1], 1), ("K", [0], 1), ("J", [], 1), ("J", [0, 1], 0)):
         with pytest.raises(ValueError):
             complete_piece(*args)

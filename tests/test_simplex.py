@@ -209,7 +209,7 @@ def test_adding_to_a_with_rhs_copy_recompiles_that_copy_only():
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spectral_lb.simplex import _invert
@@ -269,11 +269,28 @@ def _highs(cost, rows, maximize):
         b_eq=b_eq or None,
         bounds=(0, None),
         method="highs",
+        # presolve reports some feasible unbounded LPs as infeasible
+        options={"presolve": False},
     )
+
+
+# maximise x1 with x = (t, t, 0, 0) feasible for every t: unbounded, yet
+# HiGHS with presolve on calls it infeasible
+_UNBOUNDED_WITH_ZERO_ROWS = (
+    [Fraction(1), Fraction(0), Fraction(0), Fraction(0)],
+    [
+        ([Fraction(0)] * 4, "=", Fraction(0)),
+        ([Fraction(-1), Fraction(1), Fraction(1), Fraction(0)], "<=", Fraction(1)),
+        ([Fraction(-1), Fraction(1), Fraction(1), Fraction(0)], ">=", Fraction(0)),
+        ([Fraction(0)] * 4, "=", Fraction(0)),
+    ],
+    True,
+)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_random_lp())
+@example(_UNBOUNDED_WITH_ZERO_ROWS)
 def test_differential_against_highs(lp_spec):
     cost, rows, maximize = lp_spec
     sol = _build(cost, rows, maximize).solve()
@@ -545,6 +562,7 @@ def test_devex_weights_never_decide(monkeypatch, rng=random.Random(11)):
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_random_lp())
+@example(_UNBOUNDED_WITH_ZERO_ROWS)
 def test_devex_weights_never_decide_against_highs(lp_spec):
     cost, rows, maximize = lp_spec
     with pytest.MonkeyPatch.context() as mp:
