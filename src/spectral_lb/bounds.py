@@ -39,10 +39,11 @@ from .spectra import lambda_max, lambda_min, lambda_min_exact, psd_check_exact, 
 
 MAX_BETA_ORDER = 14
 MAX_ORBIT_ORDER = 10
-# the complete-decomposition LP supports n <= 12; on a 2-core machine with
-# Python 3.11, lambda*_C took 1.0 s on the Petersen graph, 1.3 s on
-# circulant(11, 2) and 3.9 s on the icosahedron, so a report keeps it
-# to n <= 10 rather than spend seconds on every graph of order 11 or 12
+# the complete-decomposition LP supports n <= 12; measured 2026-10-19 on a
+# 2-core machine with Python 3.11, lambda*_C took 0.2-0.3 s on the Petersen
+# graph, 0.6-0.95 s on circulant(11, 2) and 1.3-2.0 s on the icosahedron,
+# against 7-25 ms for the rest of the last two's bounds --lp report, so a
+# report keeps it to n <= 10 rather than spend seconds on orders 11 and 12
 REPORT_COMPLETE_ORDER = 10
 # a report calls a bound tight within this distance of lambda, and
 # violated when it lies on the wrong side of lambda by more

@@ -20,7 +20,6 @@ from math import comb
 from .decomp import (
     CertificateError,
     CliquePartition,
-    clique_partition_bound,
     clique_partition_stats,
     complete_piece,
     decomposition,
@@ -33,8 +32,9 @@ from .simplex import OPTIMAL, RationalLP, SimplexError
 MAX_CLIQUE_ORDER = 24
 # the lambda*_C model of order n has 2^n - n - 1 + C(n, 2) piece columns and
 # C(n, 2) + n rows: 4,149 and 78 at n = 12, about 4 MB built in 0.1 s, and
-# 9 MB more once compiled for the simplex (0.2 s, once per order); on a
-# 2-core machine with Python 3.11 the icosahedron (n = 12) takes 1.8 s
+# 9 MB more once compiled for the simplex (0.2 s, once per order); measured
+# 2026-10-19 on a 2-core machine with Python 3.11, the icosahedron (n = 12)
+# takes 1.3-2.0 s
 MAX_COMPLETE_ORDER = 12
 MAX_COLOR_ORDER = 18
 
@@ -271,7 +271,6 @@ def _solve_decomposition(model, pieces, k2, weight, loops):
     n = len(loops)
     pairs = [s for s, sign in k2 if sign == 1]
     ws = [weight(u, v) for u, v in pairs]
-    lp = model.with_rhs(ws + [-w for w in loops])
     basis = []
     start_sum = list(loops)
     for (u, v), w in zip(pairs, ws):
@@ -281,8 +280,8 @@ def _solve_decomposition(model, pieces, k2, weight, loops):
     lam0 = min(start_sum)
     u_star = start_sum.index(lam0)
     basis.append(1 if lam0 <= 0 else 0)  # variable 1 is lambda-, 0 is lambda+
-    basis.extend(lp.slack_index(len(pairs) + u) for u in range(n) if u != u_star)
-    sol = lp.solve(start_basis=basis)
+    basis.extend(model.slack_index(len(pairs) + u) for u in range(n) if u != u_star)
+    sol = model.solve(start_basis=basis, rhs=ws + [-w for w in loops])
     if sol.status != OPTIMAL:
         raise SimplexError(f"decomposition LP came back {sol.status}")
 
@@ -310,7 +309,7 @@ def lambda_star_K(g: SimpleGraph) -> LambdaStarResult:
     mu G is such a decomposition of mu G, so the optimum is the largest
     -max_u r_u/mu.  The optimal basic solution is scaled by the lcm of its
     denominators into a clique partition of mu G, which is re-validated
-    exactly through clique_partition_bound.
+    exactly through clique_partition_stats: its -r/mu must equal the optimum.
     """
 
     if g.n > MAX_CLIQUE_ORDER:
@@ -323,10 +322,9 @@ def lambda_star_K(g: SimpleGraph) -> LambdaStarResult:
         mu, tuple(c for c, k in sorted(counts.items()) for _ in range(k))
     )
     r_u, r, _ = clique_partition_stats(partition, g)
-    value = sol.objective
-    if clique_partition_bound(partition, g) != value or Q(-r, mu) != value:
+    if Q(-r, mu) != sol.objective:
         raise CertificateError("lambda*_K certificate failed to re-validate")
-    return LambdaStarResult(value, mu, counts, tuple(r_u), sol.pivots)
+    return LambdaStarResult(sol.objective, mu, counts, tuple(r_u), sol.pivots)
 
 
 @lru_cache(maxsize=None)

@@ -9,8 +9,8 @@ and costs are compiled once (_compile: integer columns scaled by their
 own denominators, integer costs, the float image of the matrix) and a
 solve adds only what b needs: b in integers, and one more row factor
 where b_r's denominator does not divide the row's scale.  Rows keep the
-caller's signs, so a RationalLP and its with_rhs copies solve on one
-compiled form.
+caller's signs, so every solve of a RationalLP, whatever right-hand sides
+it passes, runs on one compiled form.
 
 The basis inverse is kept fraction-free as B^-1 = A^/D, with D = |det B|
 and A^ = +-adj(B) an integer matrix; x_B and the duals are integer
@@ -37,8 +37,9 @@ pivot switches the ratio test to a lexicographic perturbation seeded at
 the current basis, which breaks the stall and guarantees termination from
 any starting basis.  A tie is broken by the columns of the seed basis in
 turn; a seed column still basic at position q has B^-1 a = e_q, so it
-only drops row q from the ties and costs no dot products.  Callers may
-hand in a feasible basis to skip phase 1.
+only drops row q from the ties and costs no dot products.  One boolean
+mask says which columns may not enter: the basic ones, and in phase 2 the
+artificials.  Callers may hand in a feasible basis to skip phase 1.
 """
 
 from __future__ import annotations
@@ -97,6 +98,9 @@ class _Core:
     cscale are the integer scalings of the rows and of the costs;
     float_cols and float_cost are the caller's matrix and costs in floats,
     which the screen ranks with duals scaled back by rscale and cscale.
+    blocked marks the columns that may not enter: the basic ones, and every
+    column j >= bound, which is where phase 2 puts the artificials.
+    set_basis builds it and _pivot keeps it up to date.
     """
 
     def __init__(self, columns, cost, b, m, rscale, cscale, float_cols, float_cost):
@@ -111,9 +115,8 @@ class _Core:
         self.basis = []
         self.rows = []
         self.det = 1
-        self.in_basis = [False] * len(columns)
-        self.allowed = [True] * len(columns)
-        self.blocked = None  # numpy mask mirroring in_basis/allowed
+        self.bound = len(columns)
+        self.blocked = None
         self.weights = None  # Devex reference weights, one per column
         self.lex_seed = None  # basis B_seed, only during degenerate stalls
         self.pivots = 0
@@ -131,13 +134,10 @@ class _Core:
         self.basis = list(basis)
         self.rows = [row + [x] for row, x in zip(adj, xb)]
         self.det = det
-        self.in_basis = [False] * len(self.columns)
-        for j in basis:
-            self.in_basis[j] = True
+        self.blocked = np.zeros(len(self.columns), dtype=bool)
+        self.blocked[self.bound:] = True
+        self.blocked[basis] = True
         return True
-
-    def xhat(self, i):
-        return self.rows[i][self.m]
 
     def prices(self):
         """c_B [A^ | x^] = D [y | objective]: duals and objective over D."""
@@ -163,9 +163,7 @@ class _Core:
         return self.det * self.cost[j] - sum(y[r] * v for r, v in self.columns[j])
 
     def _exact_first_negative(self, y):
-        for j in range(len(self.columns)):
-            if self.in_basis[j] or not self.allowed[j]:
-                continue
+        for j in np.flatnonzero(~self.blocked).tolist():
             if self.reduced_cost(j, y) < 0:
                 return j
         return -1
@@ -225,30 +223,18 @@ class _Core:
     def _choose_leaving(self, d):
         """Minimum-ratio row; Bland-style tie-break outside lex mode.
 
-        Ratios x^_i / d^_i are compared by cross-multiplication (d^_i > 0).
-        In lex mode the perturbed right-hand side b + B_seed (eps^1..eps^m)
-        makes the problem nondegenerate: ties on x_B/d are resolved by
-        lexicographic comparison of the rows of T/d where T = B^-1 B_seed,
-        and the winner is unique because T is nonsingular.  Only the
-        entries a tie needs are formed, as D T_ik = A^_i . a_(seed k);
-        for a seed still basic at position q that column is D e_q, so
-        the seed only removes q from the ties.
+        Ratios x^_i / d^_i are compared by cross-multiplication (d^_i > 0);
+        the rows of least ratio tie, and outside lex mode the one with the
+        smallest basic column leaves.  In lex mode the perturbed right-hand
+        side b + B_seed (eps^1..eps^m) makes the problem nondegenerate: ties
+        are resolved by lexicographic comparison of the rows of T/d where
+        T = B^-1 B_seed, and the winner is unique because T is nonsingular.
+        Only the entries a tie needs are formed, as D T_ik = A^_i . a_(seed k);
+        for a seed still basic at position q that column is D e_q, so the
+        seed only removes q from the ties.
         """
 
         m = self.m
-        leave = -1
-        if self.lex_seed is None:
-            for i in range(m):
-                di = d[i]
-                if di > 0:
-                    if leave < 0:
-                        leave = i
-                        continue
-                    lhs = self.rows[i][m] * d[leave]
-                    rhs = self.rows[leave][m] * di
-                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
-                        leave = i
-            return leave
         ties = []
         for i in range(m):
             di = d[i]
@@ -262,14 +248,15 @@ class _Core:
                     ties = [i]
                 elif lhs == rhs:
                     ties.append(i)
-        if not ties:
-            return -1
+        if not ties or self.lex_seed is None:
+            return min(ties, key=self.basis.__getitem__, default=-1)
         for seed in self.lex_seed:
             if len(ties) == 1:
                 break
-            if self.in_basis[seed]:
-                # a seed basic at position q has D T column D e_q: it
-                # ranks q last and leaves the other ties equal
+            # blocked means basic here: a seed past the bound is a phase-2
+            # artificial, whose row of B^-1 A is zero, so it stays basic
+            # and its row is never among the ties
+            if self.blocked[seed]:
                 q = self.basis.index(seed)
                 ties = [i for i in ties if i != q]
                 continue
@@ -288,13 +275,7 @@ class _Core:
         return ties[0]
 
     def iterate(self):
-        ncols = len(self.columns)
-        self.blocked = np.fromiter(
-            (self.in_basis[j] or not self.allowed[j] for j in range(ncols)),
-            dtype=bool,
-            count=ncols,
-        )
-        self.weights = np.ones(ncols)
+        self.weights = np.ones(len(self.columns))
         self.lex_seed = None
         m = self.m
         last = None
@@ -329,11 +310,8 @@ class _Core:
             self.det = -self.det
             self.rows = [[-x for x in row] for row in self.rows]
         old = self.basis[leave]
-        self.in_basis[old] = False
-        self.in_basis[enter] = True
-        if self.blocked is not None:
-            self.blocked[old] = not self.allowed[old]
-            self.blocked[enter] = True
+        self.blocked[old] = old >= self.bound
+        self.blocked[enter] = True
         self.basis[leave] = enter
 
 
@@ -374,27 +352,19 @@ def _compile(columns, cost, m):
     return _Form(m, int_cols, rscale, cost_int, cscale, float_cols, float_cost)
 
 
-def solve_standard(columns, cost, b, m, start_basis=None):
-    """min cost.x subject to A x = b, x >= 0, with sparse columns of A.
+# the floats only rank candidates, so an overflow there is not an error
+@np.errstate(all="ignore")
+def _solve_form(form, b, start_basis=None):
+    """min cost.x subject to A x = b, x >= 0, for a compiled form and any b.
 
     b may have either sign.  When start_basis yields an invertible,
     primal-feasible basis, phase 1 is skipped.  The returned solution
     carries exact x and duals, and optimality is re-verified by exact
-    complementary slackness.
-    """
-
-    return _solve_form(_compile(columns, cost, m), b, start_basis)
-
-
-# the floats only rank candidates, so an overflow there is not an error
-@np.errstate(all="ignore")
-def _solve_form(form, b, start_basis=None):
-    """solve_standard on a compiled form.
-
-    Row r of the form is scaled once more, by lcm(rscale_r, denom(b_r)) /
-    rscale_r, only when b_r needs it; otherwise the solve runs on the
-    form's own integer columns.  Rows keep the caller's signs: phase 1's
-    artificial for row r is signed as b_r, so that it starts at |b_r|.
+    complementary slackness.  Row r of the form is scaled once more, by
+    lcm(rscale_r, denom(b_r)) / rscale_r, only when b_r needs it; otherwise
+    the solve runs on the form's own integer columns.  Rows keep the
+    caller's signs: phase 1's artificial for row r is signed as b_r, so
+    that it starts at |b_r|.
 
     Dependent rows stay in place.  An artificial still basic at position i
     after phase 1 has row i of B^-1 A equal to zero, so every later
@@ -414,16 +384,12 @@ def _solve_form(form, b, start_basis=None):
     core = _Core(columns, form.cost, b_int, m, rscale, form.cscale,
                  form.float_cols, form.float_cost)
 
-    started = False
-    if start_basis is not None:
-        started = core.set_basis(list(start_basis))
-    if not started:
+    if start_basis is None or not core.set_basis(list(start_basis)):
         # artificial i is the caller's unit column, signed as b_i, in row i's scale
         sign = [-1 if v < 0 else 1 for v in b_int]
         core.columns = columns + [[(i, sign[i] * rscale[i])] for i in range(m)]
         core.float_cols = np.hstack([form.float_cols, np.diag(np.array(sign, dtype=float))])
-        core.in_basis = [False] * len(core.columns)
-        core.allowed = [True] * len(core.columns)
+        core.bound = len(core.columns)
         core.cost = [0] * nstruct + [1] * m
         core.cscale = 1
         core.float_cost = np.array(core.cost, dtype=float)
@@ -436,8 +402,8 @@ def _solve_form(form, b, start_basis=None):
         core.cost = form.cost + [0] * m
         core.cscale = form.cscale
         core.float_cost = np.concatenate([form.float_cost, np.zeros(m)])
-        for j in range(nstruct, len(core.columns)):
-            core.allowed[j] = False
+        core.bound = nstruct
+        core.blocked[nstruct:] = True
 
     status = core.iterate()
     if status == UNBOUNDED:
@@ -445,7 +411,7 @@ def _solve_form(form, b, start_basis=None):
     xhat = [0] * nstruct
     for i, j in enumerate(core.basis):
         if j < nstruct:
-            xhat[j] = core.xhat(i)
+            xhat[j] = core.rows[i][m]
     acc = core.prices()
     _verify_optimal(core, nstruct, xhat, acc)
     det = core.det
@@ -475,7 +441,7 @@ def _drive_out_artificials(core, nstruct):
             continue
         row = core.rows[i]
         for j in range(nstruct):
-            if core.in_basis[j]:
+            if core.blocked[j]:
                 continue
             if sum(row[r] * v for r, v in core.columns[j]) != 0:
                 core._pivot(j, i, core.direction(j))
@@ -515,22 +481,23 @@ class RationalLP:
     the standard form to the revised simplex and maps the objective back;
     duals stay in the internal minimisation convention.  The standard
     form's columns and costs are compiled at the first solve and kept
-    until a variable or row is added; with_rhs copies share them.
+    until a variable or row is added, so solves that pass their own
+    right-hand sides share them.
     """
 
     def __init__(self, maximize=False):
         self.maximize = maximize
         self.obj = []
         self.rows = []  # (coeffs dict, rel, rhs)
-        self._form = [None]  # one-slot cell for the compiled form, shared by with_rhs copies
+        self._form = None
 
     def variable(self, obj=0):
-        self._form = [None]
+        self._form = None
         self.obj.append(obj)
         return len(self.obj) - 1
 
     def _add(self, coeffs, rel, rhs):
-        self._form = [None]
+        self._form = None
         self.rows.append((dict(coeffs), rel, rhs))
         return len(self.rows) - 1
 
@@ -542,15 +509,6 @@ class RationalLP:
 
     def add_ge(self, coeffs, rhs):
         return self._add(coeffs, ">=", rhs)
-
-    def with_rhs(self, rhs):
-        """This model with new right-hand sides; coefficients and compiled form are shared."""
-
-        lp = RationalLP(self.maximize)
-        lp.obj = list(self.obj)
-        lp.rows = [(coeffs, rel, b) for (coeffs, rel, _), b in zip(self.rows, rhs, strict=True)]
-        lp._form = self._form
-        return lp
 
     def slack_index(self, row_id):
         """Standard-form column index of the slack/surplus of a <=/>= row."""
@@ -566,7 +524,7 @@ class RationalLP:
     def compiled(self):
         """The compiled standard form: variables, then one slack per <=/>= row."""
 
-        if self._form[0] is None:
+        if self._form is None:
             cols = [[] for _ in self.obj]
             cost = [(-c if self.maximize else c) for c in self.obj]
             for r, (coeffs, rel, _) in enumerate(self.rows):
@@ -576,11 +534,15 @@ class RationalLP:
                 if rel != "=":
                     cols.append([(r, 1 if rel == "<=" else -1)])
                     cost.append(0)
-            self._form[0] = _compile(cols, cost, len(self.rows))
-        return self._form[0]
+            self._form = _compile(cols, cost, len(self.rows))
+        return self._form
 
-    def solve(self, start_basis=None) -> LPSolution:
-        b = [rhs for _, _, rhs in self.rows]
+    def solve(self, start_basis=None, rhs=None) -> LPSolution:
+        """The optimum; rhs, one value per row, stands in for the right-hand sides in this solve."""
+
+        b = [r for _, _, r in self.rows] if rhs is None else list(rhs)
+        if len(b) != len(self.rows):
+            raise ValueError(f"{len(b)} right-hand sides for {len(self.rows)} rows")
         sol = _solve_form(self.compiled(), b, start_basis)
         if sol.status == OPTIMAL and self.maximize:
             sol.objective = -sol.objective

@@ -435,7 +435,7 @@ def test_lambda_star_c_cached_model_keeps_zero_rhs():
 
 
 def test_lambda_star_c_compiles_the_model_of_an_order_once(monkeypatch):
-    # every call solves a with_rhs copy of the cached model on its compiled form
+    # every call solves the cached model, with its own right-hand sides, on its compiled form
     from spectral_lb import simplex as simplex_mod
     from spectral_lb.cliqopt import _complete_model
 

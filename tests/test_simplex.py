@@ -10,7 +10,6 @@ from spectral_lb.simplex import (
     OPTIMAL,
     UNBOUNDED,
     RationalLP,
-    solve_standard,
 )
 
 
@@ -126,15 +125,19 @@ def test_duals_satisfy_strong_duality(rng=random.Random(7)):
 
 def test_warm_start_basis():
     # x + y = 2 with start basis {x}; one pivot territory
-    cols = [[(0, Q(1))], [(0, Q(1))]]
-    sol = solve_standard(cols, [Q(1), Q(2)], [Q(2)], 1, start_basis=[0])
-    assert sol.status == OPTIMAL and sol.objective == Q(2) and sol.x[0] == Q(2)
+    lp = RationalLP()
+    x, y = lp.variable(obj=1), lp.variable(obj=2)
+    lp.add_eq({x: Q(1), y: Q(1)}, 2)
+    sol = lp.solve(start_basis=[x])
+    assert sol.status == OPTIMAL and sol.objective == Q(2) and sol.x[x] == Q(2)
 
 
 def test_warm_start_invalid_falls_back():
     # the proposed basis is singular; solver must still find the optimum
-    cols = [[(0, Q(1))], [(0, Q(2))]]
-    sol = solve_standard(cols, [Q(1), Q(1)], [Q(2)], 1, start_basis=[0, 1])
+    lp = RationalLP()
+    x, y = lp.variable(obj=1), lp.variable(obj=1)
+    lp.add_eq({x: Q(1), y: Q(2)}, 2)
+    sol = lp.solve(start_basis=[x, y])
     assert sol.status == OPTIMAL
 
 
@@ -147,7 +150,7 @@ def test_pivot_limit_guard():
 
 
 # ---------------------------------------------------------------------------
-# the compiled form: built once per model, shared by with_rhs, never written
+# the compiled form: built once per model, shared by every solve, never written
 
 
 def _outcome(sol):
@@ -164,12 +167,14 @@ def test_solves_leave_the_compiled_form_unchanged():
         form.float_cols.copy(),
         form.float_cost.copy(),
     )
+    rows = [(dict(coeffs), rel, rhs) for coeffs, rel, rhs in lp.rows]
     slacks = [lp.slack_index(r) for r in range(3)]
     cold = lp.solve()  # phase 1 appends artificial columns
     # b's denominators scale rows again, and a negative b signs an artificial
-    lp.with_rhs([Q(1, 3), Q(-2, 7), 1]).solve()
+    lp.solve(rhs=[Q(1, 3), Q(-2, 7), 1])
     warm = lp.solve(start_basis=slacks)
     assert lp.compiled() is form
+    assert lp.rows == rows
     assert [list(col) for col in form.columns] == snapshot[0]
     assert (form.rscale, form.cost) == (snapshot[1], snapshot[2])
     assert np.array_equal(form.float_cols, snapshot[3])
@@ -178,7 +183,7 @@ def test_solves_leave_the_compiled_form_unchanged():
     assert warm.objective == cold.objective == Q(-1, 20)
 
 
-def test_adding_to_a_with_rhs_copy_recompiles_that_copy_only():
+def test_adding_to_a_model_recompiles_it():
     changes = [
         lambda lp: lp.variable(obj=1),
         lambda lp: lp.add_ge({0: Q(1)}, Q(1, 10)),
@@ -188,19 +193,47 @@ def test_adding_to_a_with_rhs_copy_recompiles_that_copy_only():
     for change in changes:
         lp = _beale_lp()
         form = lp.compiled()
-        copy = lp.with_rhs([0, 0, 1])
-        assert copy.compiled() is form
-        change(copy)
+        lp.solve()
+        change(lp)
+        assert lp.compiled() is not form
         expected = _beale_lp()
         change(expected)
-        assert _outcome(copy.solve()) == _outcome(expected.solve())
-        assert copy.compiled() is not form
+        assert _outcome(lp.solve()) == _outcome(expected.solve())
+
+
+def _rebuilt(lp, rhs):
+    """The model lp with rhs as its right-hand sides, built row by row."""
+
+    built = RationalLP(lp.maximize)
+    for c in lp.obj:
+        built.variable(obj=c)
+    add = {"=": built.add_eq, "<=": built.add_le, ">=": built.add_ge}
+    for (coeffs, rel, _), b in zip(lp.rows, rhs):
+        add[rel](coeffs, b)
+    return built
+
+
+def test_solve_with_rhs_matches_a_model_built_with_it(rng=random.Random(11)):
+    lps = [_beale_lp()] + [_random_degenerate_lp(rng) for _ in range(150)]
+    pick = random.Random(5)
+    for lp in lps:
+        form = lp.compiled()
+        # slacks first, then variables, so that a feasible slack basis is tried
+        basis = [lp.slack_index(r) for r, (_, rel, _) in enumerate(lp.rows) if rel != "="]
+        basis += list(range(len(lp.rows) - len(basis)))
+        for _ in range(2):
+            rhs = [pick.choice([0, 0, 1, 2, Q(1, 3), Q(-2, 7)]) for _ in lp.rows]
+            built = _rebuilt(lp, rhs)
+            for start in (None, basis):
+                assert _outcome(lp.solve(start, rhs=rhs)) == _outcome(built.solve(start))
         assert lp.compiled() is form
-        # and a change to the model leaves its earlier copies on the old form
-        copy = lp.with_rhs([0, 0, 1])
-        change(lp)
-        assert copy.compiled() is form
-        assert _outcome(copy.solve()) == _outcome(_beale_lp().solve())
+
+
+def test_solve_rejects_a_wrong_length_rhs():
+    lp = _beale_lp()
+    for rhs in ([0, 0], [0, 0, 1, 1]):
+        with pytest.raises(ValueError):
+            lp.solve(rhs=rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +279,16 @@ def _build(cost, rows, maximize):
 
 
 def _highs(cost, rows, maximize):
+    """(status, optimum of the minimisation) from HiGHS, asked only bounded questions.
+
+    Without presolve HiGHS can end an unbounded LP with status 4 (model
+    status unknown), and with presolve it calls some feasible unbounded
+    LPs infeasible.  So: is the LP feasible, asked with zero cost; then is
+    min c.d < 0 over the recession cone cut to 0 <= d <= 1 (A_eq d = 0,
+    A_ub d <= 0), which makes it unbounded; else solve it, now bounded.
+    Any other HiGHS status fails the test.
+    """
+
     from scipy.optimize import linprog
 
     c = [float(-v if maximize else v) for v in cost]
@@ -261,17 +304,27 @@ def _highs(cost, rows, maximize):
         else:
             a_ub.append([-v for v in row])
             b_ub.append(-float(rhs))
-    return linprog(
-        c,
-        A_ub=a_ub or None,
-        b_ub=b_ub or None,
-        A_eq=a_eq or None,
-        b_eq=b_eq or None,
-        bounds=(0, None),
-        method="highs",
-        # presolve reports some feasible unbounded LPs as infeasible
-        options={"presolve": False},
-    )
+
+    def run(c, b_ub, b_eq, upper, allowed=(0,)):
+        res = linprog(
+            c,
+            A_ub=a_ub or None,
+            b_ub=b_ub or None,
+            A_eq=a_eq or None,
+            b_eq=b_eq or None,
+            bounds=(0, upper),
+            method="highs",
+            # presolve reports some feasible unbounded LPs as infeasible
+            options={"presolve": False},
+        )
+        assert res.status in allowed, f"HiGHS status {res.status}: {res.message}"
+        return res
+
+    if run([0.0] * len(c), b_ub, b_eq, None, allowed=(0, 2)).status == 2:
+        return INFEASIBLE, None
+    if run(c, [0.0] * len(b_ub), [0.0] * len(b_eq), 1).fun < -1e-9:
+        return UNBOUNDED, None
+    return OPTIMAL, run(c, b_ub, b_eq, None).fun
 
 
 # maximise x1 with x = (t, t, 0, 0) feasible for every t: unbounded, yet
@@ -286,22 +339,30 @@ _UNBOUNDED_WITH_ZERO_ROWS = (
     ],
     True,
 )
+# minimise 3/2 x1 - 2 x2: unbounded along x2, yet HiGHS with presolve off
+# ends it with status 4 (model status unknown)
+_UNBOUNDED_UNKNOWN_WITHOUT_PRESOLVE = (
+    [Fraction(3, 2), Fraction(-2), Fraction(0)],
+    [
+        ([Fraction(2), Fraction(-2), Fraction(0)], "<=", Fraction(1)),
+        ([Fraction(0), Fraction(-2), Fraction(0)], "<=", Fraction(1)),
+    ],
+    False,
+)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_random_lp())
 @example(_UNBOUNDED_WITH_ZERO_ROWS)
+@example(_UNBOUNDED_UNKNOWN_WITHOUT_PRESOLVE)
 def test_differential_against_highs(lp_spec):
     cost, rows, maximize = lp_spec
     sol = _build(cost, rows, maximize).solve()
-    ref = _highs(cost, rows, maximize)
-    expected = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[ref.status]
+    expected, fun = _highs(cost, rows, maximize)
     assert sol.status == expected
     if sol.status != OPTIMAL:
         return
-    assert float(sol.objective) == pytest.approx(
-        -ref.fun if maximize else ref.fun, abs=1e-7
-    )
+    assert float(sol.objective) == pytest.approx(-fun if maximize else fun, abs=1e-7)
     # the exact optimum is feasible in the caller's rows and attains it
     for coeffs, rel, rhs in rows:
         lhs = sum((c * v for c, v in zip(coeffs, sol.x)), Fraction(0))
@@ -456,13 +517,20 @@ class _FullLexRule(_Recording):
 
     Row i's key is (x^_i, D T_i1, ..., D T_im) / d^_i with
     D T_ik = A^_i . a_(seed k); the winner is the unique least key.
+    Basic-ness is read from the basis, not from the solver's column mask.
     """
 
     basic_seed_ties = 0  # tie-breaks that consulted a seed still in the basis
+    artificial_seeds = 0  # phase-2 lex decisions whose seed holds a basic artificial
 
     def _choose_leaving(self, d):
         if self.lex_seed is None:
             return super()._choose_leaving(d)
+        # in phase 2 the artificials are the columns from bound on
+        if self.bound < len(self.columns) and any(
+            s >= self.bound and s in self.basis for s in self.lex_seed
+        ):
+            self.artificial_seeds += 1
         m = self.m
         cand = [i for i in range(m) if d[i] > 0]
         if not cand:
@@ -481,7 +549,7 @@ class _FullLexRule(_Recording):
         for k, s in enumerate(self.lex_seed, start=1):
             if len(ties) == 1:
                 break
-            if self.in_basis[s]:
+            if s in self.basis:
                 self.basic_seed_ties += 1
             ties = [i for i in ties if keys[i][k] == min(keys[t][k] for t in ties)]
         return best
@@ -513,9 +581,20 @@ def _random_degenerate_lp(rng):
     return lp
 
 
+def _degenerate_lp_with_duplicated_eq_row(rng):
+    # the second copy of the row keeps its artificial basic through phase 2
+    lp = _random_degenerate_lp(rng)
+    coeffs = {x: Q(rng.choice([-1, 0, 1, 1, 2])) for x in range(len(lp.obj))}
+    lp.add_eq(coeffs, 0)
+    lp.add_eq(coeffs, 0)
+    return lp
+
+
 def test_lex_shortcut_matches_full_rule(monkeypatch, rng=random.Random(11)):
     lps = [_beale_lp()] + [_random_degenerate_lp(rng) for _ in range(150)]
-    consulted = 0
+    dup = random.Random(13)
+    lps += [_degenerate_lp_with_duplicated_eq_row(dup) for _ in range(60)]
+    consulted = artificial = 0
     for lp in lps:
         sol, core = _solve_with(monkeypatch, _Recording, lp)
         ref, ref_core = _solve_with(monkeypatch, _FullLexRule, lp)
@@ -528,8 +607,11 @@ def test_lex_shortcut_matches_full_rule(monkeypatch, rng=random.Random(11)):
             ref.duals,
         )
         consulted += ref_core.basic_seed_ties
-    # the shortcut actually decided ties in this sample
+        artificial += ref_core.artificial_seeds
+    # the shortcut actually decided ties in this sample, and some phase-2
+    # stalls were seeded with an artificial still basic
     assert consulted > 0
+    assert artificial > 0
 
 
 # ---------------------------------------------------------------------------
@@ -563,15 +645,16 @@ def test_devex_weights_never_decide(monkeypatch, rng=random.Random(11)):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_random_lp())
 @example(_UNBOUNDED_WITH_ZERO_ROWS)
+@example(_UNBOUNDED_UNKNOWN_WITHOUT_PRESOLVE)
 def test_devex_weights_never_decide_against_highs(lp_spec):
     cost, rows, maximize = lp_spec
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex_mod, "_Core", _GarbageWeights)
         sol = _build(cost, rows, maximize).solve()
-    ref = _highs(cost, rows, maximize)
-    assert sol.status == {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[ref.status]
+    expected, fun = _highs(cost, rows, maximize)
+    assert sol.status == expected
     if sol.status == OPTIMAL:
-        assert float(sol.objective) == pytest.approx(-ref.fun if maximize else ref.fun, abs=1e-7)
+        assert float(sol.objective) == pytest.approx(-fun if maximize else fun, abs=1e-7)
         _assert_dual_certificate(sol, cost, rows, maximize)
 
 
