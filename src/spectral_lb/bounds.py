@@ -274,6 +274,10 @@ def aab_lower(g: SimpleGraph, k: int) -> float:
         raise ValueError(f"graph contains an induced K_1,{k} at {witness}")
     if d < k:
         raise ValueError("star-free bound needs degree at least k")
+    return _aab_value(d, k)
+
+
+def _aab_value(d: int, k: int) -> float:
     return float(-d + Q(turan_t(d, k), d - 1))
 
 
@@ -636,9 +640,8 @@ def bound_report(g: SimpleGraph, name: str = "graph", partition: CliquePartition
     if k is not None and connected and g.n >= 2:
         value, vacuous = tm_lower(g)
         put("triangle_density", "lower", value, note="vacuous" if vacuous else "")
-        free, _ = is_K1k_free(g, 3)
-        if free and k >= 3:
-            put("star_free_k3", "lower", aab_lower(g, 3))
+        if k >= 3 and is_K1k_free(g, 3)[0]:
+            put("star_free_k3", "lower", _aab_value(k, 3))
     if partition is not None:
         b = clique_partition_bound(partition, g)
         put("clique_partition", "lower", b, note=f"mu={partition.mu}")

@@ -70,16 +70,11 @@ class Decomposition:
     pieces: tuple[Piece, ...]
 
 
-def piece_on(graph, embedding=None, n=None) -> Piece:
-    """Wrap a graph as a piece; identity embedding by default."""
+def piece_on(graph) -> Piece:
+    """Wrap a graph of any kind as a piece on its own vertices."""
 
     h = as_weighted(graph)
-    if embedding is None:
-        embedding = range(h.n)
-    emb = tuple(embedding)
-    if n is not None:
-        embed(h, n, emb)  # validates
-    return Piece(h, emb)
+    return Piece(h, tuple(range(h.n)))
 
 
 def decomposition(target, pieces) -> Decomposition:

@@ -3,8 +3,10 @@
 The edge-list format is `n m` on the first line followed by m lines
 `u v [weight]`, with `#` comments, `p/q` rational weights and `u u` loops
 allowed in weighted files.  JSON documents carry a format version field
-and one of three graph types.  Partition and certificate documents are
-the JSON surface of the clique machinery.
+and one of three graph types.  Only the JSON documents keep the kind:
+format_edge_list and require_simple read every kind through
+graphs.as_weighted.  Partition and
+certificate documents are the JSON surface of the clique machinery.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .graphs import (
     Multigraph,
     SimpleGraph,
     WeightedGraph,
+    as_weighted,
     build_multigraph,
     build_simple,
     build_weighted,
@@ -87,23 +90,10 @@ def parse_edge_list(text: str) -> WeightedGraph:
 def format_edge_list(g) -> str:
     """Render any graph kind in the edge-list format."""
 
-    if isinstance(g, SimpleGraph):
-        entries = [(u, v, None) for u, v in g.edges()]
-        n = g.n
-    elif isinstance(g, Multigraph):
-        entries = [(u, v, Q(m)) for (u, v), m in sorted(g.mult.items())]
-        n = g.n
-    elif isinstance(g, WeightedGraph):
-        entries = [(u, v, w) for (u, v), w in sorted(g.weights.items())]
-        n = g.n
-    else:
-        raise TypeError(f"not a graph value: {g!r}")
-    lines = [f"{n} {len(entries)}"]
-    for u, v, w in entries:
-        if w is None or w == 1:
-            lines.append(f"{u} {v}")
-        else:
-            lines.append(f"{u} {v} {format_q(w)}")
+    h = as_weighted(g)
+    lines = [f"{h.n} {len(h.weights)}"]
+    for (u, v), w in sorted(h.weights.items()):
+        lines.append(f"{u} {v}" if w == 1 else f"{u} {v} {format_q(w)}")
     return "\n".join(lines) + "\n"
 
 
@@ -197,19 +187,14 @@ def load_graph_text(text: str):
 
 
 def require_simple(g) -> SimpleGraph:
-    """Downcast to a simple graph; weight-1 loopless weighted graphs qualify."""
+    """Downcast to a simple graph; any kind qualifies when it is loopless with all weights 1."""
 
     if isinstance(g, SimpleGraph):
         return g
-    if isinstance(g, Multigraph):
-        if g.is_loopless and all(m == 1 for m in g.mult.values()):
-            return g.underlying_simple()
-        raise ValueError("multigraph has loops or multiplicities above 1")
-    if isinstance(g, WeightedGraph):
-        if all(u != v and w == 1 for (u, v), w in g.weights.items()):
-            return build_simple(g.n, list(g.weights))
-        raise ValueError("weighted graph is not a 0/1 loopless graph")
-    raise TypeError(f"not a graph value: {g!r}")
+    h = as_weighted(g)
+    if any(u == v or w != 1 for (u, v), w in h.weights.items()):
+        raise ValueError("not a simple graph: it has a loop or an edge weight other than 1")
+    return build_simple(h.n, list(h.weights))
 
 
 # ---------------------------------------------------------------------------

@@ -132,18 +132,6 @@ class Multigraph:
     def multiplicity(self, u: int, v: int) -> int:
         return self.mult.get(_pair(u, v), 0)
 
-    def adjacency(self, dtype=object) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=dtype)
-        for (u, v), m in self.mult.items():
-            if u == v:
-                a[u, u] = m
-            else:
-                a[u, v] = a[v, u] = m
-        return a
-
-    def underlying_simple(self) -> SimpleGraph:
-        return build_simple(self.n, [(u, v) for u, v in self.mult if u != v])
-
 
 def build_multigraph(n: int, mult) -> Multigraph:
     """Multigraph from a {pair: multiplicity} mapping; zero entries are dropped."""

@@ -20,7 +20,7 @@ from math import lcm
 
 import numpy as np
 
-from .graphs import Multigraph, SimpleGraph, WeightedGraph
+from .graphs import Multigraph, SimpleGraph, WeightedGraph, as_weighted
 from .rationals import (
     Q,
     QZERO,
@@ -83,6 +83,8 @@ def _graph_matrix(g) -> np.ndarray:
     if isinstance(g, (SimpleGraph, Multigraph, WeightedGraph)):
         if g.n == 0:
             raise ValueError("empty graph has no eigenvalues")
+        if not isinstance(g, SimpleGraph):
+            g = as_weighted(g)
         return g.adjacency(dtype=float)
     return g
 

@@ -14,6 +14,7 @@ from functools import lru_cache
 from itertools import combinations
 
 import networkx as nx
+import numpy as np
 from networkx.generators.atlas import graph_atlas_g
 
 from spectral_lb.graphs import SimpleGraph, build_simple
@@ -128,10 +129,15 @@ def connected_cubic(n: int) -> tuple[SimpleGraph, ...]:
                             [(e1[0], x), (e1[1], x), (e2[0], y), (e2[1], y), (x, y)]
                         )
                         candidates.append(h)
+    # graphs kept so far, in order and by invariant; only a graph with the
+    # same invariant needs the isomorphism test
     found: list[nx.Graph] = []
+    by_invariant: dict[tuple, list[nx.Graph]] = {}
     for h in candidates:
         if all(d == 3 for _, d in h.degree()) and nx.is_connected(h):
-            if not any(nx.is_isomorphic(h, f) for f in _bucket(found, h)):
+            same = by_invariant.setdefault(_invariant(h), [])
+            if not any(nx.vf2pp_is_isomorphic(h, f) for f in same):
+                same.append(h)
                 found.append(h)
     result = tuple(_to_simple(h) for h in found)
     expected = CONNECTED_CUBIC_COUNTS.get(n)
@@ -142,23 +148,12 @@ def connected_cubic(n: int) -> tuple[SimpleGraph, ...]:
     return result
 
 
-def _bucket(found: list[nx.Graph], h: nx.Graph):
-    key = _invariant(h)
-    return [f for f in found if _invariant(f) == key]
+def _invariant(g: nx.Graph) -> tuple:
+    """Triangle count and rounded spectrum: equal on isomorphic graphs."""
 
-
-@lru_cache(maxsize=None)
-def _cached_invariant(edges: tuple) -> tuple:
-    g = nx.Graph(edges)
     tri = sum(nx.triangles(g).values()) // 3
-    import numpy as np
-
     spec = tuple(round(x, 6) for x in sorted(np.linalg.eigvalsh(nx.to_numpy_array(g))))
     return tri, spec
-
-
-def _invariant(g: nx.Graph) -> tuple:
-    return _cached_invariant(tuple(sorted(tuple(sorted(e)) for e in g.edges())))
 
 
 def random_connected_graph(rng: random.Random, n: int) -> SimpleGraph:

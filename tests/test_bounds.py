@@ -457,13 +457,16 @@ def test_bound_report_trevisan_cap():
 
 
 def test_bound_report_solves_each_shared_quantity_once(monkeypatch):
-    # chi_f and chi serve both the chromatic and the Lovasz bounds, and one
-    # spectrum gives both lambda and lambda_1
+    # chi_f and chi serve both the chromatic and the Lovasz bounds, one
+    # spectrum gives both lambda and lambda_1, and claw-freeness is decided
+    # once: Petersen has claws, the icosahedron has none and gets the
+    # star-free bound
     import numpy as np
 
     import spectral_lb.bounds as bounds
 
-    calls = {"fractional_chromatic": 0, "chromatic_number": 0, "eigh": 0}
+    names = ("fractional_chromatic", "chromatic_number", "is_K1k_free", "eigh")
+    calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -472,13 +475,16 @@ def test_bound_report_solves_each_shared_quantity_once(monkeypatch):
 
         return wrapper
 
-    for name in ("fractional_chromatic", "chromatic_number"):
+    for name in names[:-1]:
         monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-    rep = bound_report(petersen())
-    names = {en.name for en in rep.entries}
-    assert {"fractional_chromatic", "chromatic", "lovasz_fractional", "lovasz_chromatic"} <= names
-    assert calls == {"fractional_chromatic": 1, "chromatic_number": 1, "eigh": 1}
+    for g, star_free in ((petersen(), False), (icosahedron(), True)):
+        calls.update(dict.fromkeys(names, 0))
+        rep = bound_report(g)
+        entries = {en.name for en in rep.entries}
+        assert {"fractional_chromatic", "chromatic", "lovasz_fractional", "lovasz_chromatic"} <= entries
+        assert ("star_free_k3" in entries) == star_free
+        assert calls == dict.fromkeys(names, 1)
 
 
 def test_bound_report_violations_use_the_tightness_tolerance():

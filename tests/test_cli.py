@@ -94,6 +94,10 @@ def test_spectrum_weighted_loops(tmp_path, capsys):
     assert code == 0
     values = [float(line.split()[0]) for line in out.strip().splitlines()]
     assert values[0] == pytest.approx(1 - 2**0.5, abs=1e-9)
+    # the same graph as a multigraph document prints the same lines
+    mg = tmp_path / "m.json"
+    mg.write_text(json.dumps({"fmt": 1, "type": "multigraph", "n": 2, "mult": [[0, 1, 1], [0, 0, 2]]}))
+    assert run(capsys, "spectrum", str(mg)) == (0, out, "")
 
 
 def test_spectrum_malformed_exit_2(tmp_path, capsys):
@@ -254,6 +258,22 @@ def test_bounds_lp_above_clique_cap_skips_lambda_star_k(capsys, monkeypatch):
     assert skipped["lambda_star_K"] == "n = 30 exceeds the cap n <= 24"
     assert "lambda_star_C" in skipped
     assert all(b["name"] != "lambda_star_K" for b in doc["bounds"])
+
+
+@pytest.mark.parametrize(
+    "command,n,line",
+    [
+        ("lambda-star-k", 25, "lambda*_K skipped [n = 25 exceeds the cap n <= 24]"),
+        ("lambda-star-c", 13, "lambda*_C skipped [n = 13 exceeds the cap n <= 12]"),
+    ],
+    ids=["lambda-star-k", "lambda-star-c"],
+)
+def test_lambda_star_above_cap_is_a_skip(tmp_path, capsys, monkeypatch, command, n, line):
+    # a valid graph above the cap is reported as a skip, in the words of bounds, not as an input error
+    cert = tmp_path / "cert.json"
+    result = _pipe(capsys, monkeypatch, ("catalog", "get", "cycle", str(n)), (command, "-", "--cert", str(cert)))
+    assert result == (0, line + "\n", "")
+    assert not cert.exists()
 
 
 def test_bounds_below_cap_reports_no_skips(capsys, monkeypatch):

@@ -35,6 +35,12 @@ def test_edge_list_weights_and_loops():
     assert h.weight(1, 2) == Q(-2)
     assert h.weight(0, 2) == Q(1)
     assert h.weight(1, 1) == Q(3)
+    # every kind prints through its weights: multiplicities and p/q weights
+    # as the third field, weight 1 without one, labels not at all
+    mg = build_multigraph(3, {(1, 2): 2, (0, 1): 1, (1, 1): 3})
+    assert format_edge_list(mg) == "3 3\n0 1\n1 1 3\n1 2 2\n"
+    w = build_weighted(3, {(1, 2): Q(-1, 3), (0, 0): Q(5, 2), (0, 1): Q(1)}, labels=["a", "b", "c"])
+    assert format_edge_list(w) == "3 3\n0 0 5/2\n0 1\n1 2 -1/3\n"
 
 
 def test_edge_list_comments_and_blank_lines():
@@ -99,10 +105,16 @@ def test_require_simple():
     w = parse_edge_list("3 2\n0 1\n1 2\n")
     g = require_simple(w)
     assert g.m == 2
-    with pytest.raises(ValueError):
-        require_simple(parse_edge_list("3 1\n0 1 2\n"))
-    with pytest.raises(ValueError):
-        require_simple(parse_edge_list("3 1\n1 1\n"))
+    assert require_simple(build_multigraph(3, {(0, 1): 1, (1, 2): 1})).rows == g.rows
+    for bad in (
+        parse_edge_list("3 1\n0 1 2\n"),
+        parse_edge_list("3 1\n1 1\n"),
+        build_multigraph(3, {(0, 1): 2, (1, 2): 1}),
+        build_multigraph(3, {(0, 1): 1, (2, 2): 1}),
+        build_weighted(3, {(0, 1): Q(1, 2), (1, 2): Q(1)}),
+    ):
+        with pytest.raises(ValueError, match="^not a simple graph: it has a loop or an edge weight other than 1$"):
+            require_simple(bad)
 
 
 def test_partition_documents():
