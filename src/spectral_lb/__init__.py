@@ -37,7 +37,9 @@ from .decomp import (
     validate,
 )
 from .graphs import (
+    CapExceeded,
     Multigraph,
+    NotApplicable,
     SimpleGraph,
     WeightedGraph,
     add,

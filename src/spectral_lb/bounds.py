@@ -4,18 +4,20 @@ Gathers the ratio-type upper bounds (Hoffman, fractional chromatic,
 chromatic, largest-eigenvalue refinements), the diameter and
 bipartiteness-ratio lower bounds, triangle-density lower bounds for
 regular graphs, the star-free machinery up to the cubic claw-free
-theorem, and clique-partition side conditions.  Everything is desk scale:
-exhaustive searches are exact and capped rather than approximated.
+theorem, and clique-partition side conditions.  Searches are exact and
+capped rather than approximated.  Each bound raises NotApplicable when G
+fails one of its hypotheses and CapExceeded above a size cap, testing the
+hypotheses first; bound_report only catches the two.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations, permutations
 
 from .cliqopt import (
-    MAX_CLIQUE_ORDER,
-    MAX_COLOR_ORDER,
     clique_number,
     chromatic_number,
     fractional_chromatic,
@@ -33,27 +35,28 @@ from .decomp import (
     min_real_cubic_root,
     validate_partition,
 )
-from .graphs import SimpleGraph, bipartition, bit_indices, diameter, direct_product, is_connected
+from .graphs import CapExceeded, NotApplicable, SimpleGraph, bipartition, bit_indices, diameter, direct_product, is_connected, require_order
 from .rationals import Q
 from .spectra import lambda_max, lambda_min, lambda_min_exact, psd_check_exact, spectrum
 
 MAX_BETA_ORDER = 14
 MAX_ORBIT_ORDER = 10
-# the complete-decomposition LP supports n <= 12; measured 2026-10-19 on a
-# 2-core machine with Python 3.11, lambda*_C took 0.2-0.3 s on the Petersen
-# graph, 0.6-0.95 s on circulant(11, 2) and 1.3-2.0 s on the icosahedron,
-# against 7-25 ms for the rest of the last two's bounds --lp report, so a
-# report keeps it to n <= 10 rather than spend seconds on orders 11 and 12
+# a report runs lambda*_C (supported to n <= 12) to n <= 10 only: measured
+# 2026-10-19 on a 2-core machine with Python 3.11, it took 0.2-0.3 s on the
+# Petersen graph, 0.6-0.95 s on circulant(11, 2) and 1.3-2.0 s on the
+# icosahedron, against 7-25 ms for the rest of the last two's reports
 REPORT_COMPLETE_ORDER = 10
 # a report calls a bound tight within this distance of lambda, and
 # violated when it lies on the wrong side of lambda by more
 TIGHT_TOL = 1e-8
 
 
-def _require_regular(g: SimpleGraph) -> int:
+def _require_regular(g: SimpleGraph, with_edge: bool = False) -> int:
     k = g.regular_degree()
     if k is None:
-        raise ValueError("bound requires a regular graph")
+        raise NotApplicable("bound requires a regular graph")
+    if with_edge and k == 0:
+        raise NotApplicable("bound requires a regular graph with an edge")
     return k
 
 
@@ -64,22 +67,20 @@ def _require_regular(g: SimpleGraph) -> int:
 def hoffman_upper(g: SimpleGraph) -> float:
     """Hoffman ratio upper bound -alpha k / (n - alpha) for k-regular G."""
 
-    k = _require_regular(g)
+    k = _require_regular(g, with_edge=True)
     alpha = independence_number(g)
-    if alpha >= g.n:
-        raise ValueError("hoffman bound needs at least one edge")
     return float(Q(-alpha * k, g.n - alpha))
 
 
 def chromatic_uppers(g: SimpleGraph) -> tuple[float, float]:
-    """(-k/(chi_f - 1), -k/(chi - 1)) for regular G, with the chain asserted."""
+    """(-k/(chi_f - 1), -k/(chi - 1)) for regular G with an edge, with the chain asserted."""
 
-    return _chromatic_uppers(_require_regular(g), fractional_chromatic(g), chromatic_number(g))
+    return _chromatic_uppers(g, lambda: (fractional_chromatic(g), chromatic_number(g)))
 
 
-def _chromatic_uppers(k: int, chi_f, chi: int) -> tuple[float, float]:
-    if chi_f <= 1 or chi <= 1:
-        raise ValueError("chromatic upper bounds need an edge")
+def _chromatic_uppers(g: SimpleGraph, chis) -> tuple[float, float]:
+    k = _require_regular(g, with_edge=True)
+    chi_f, chi = chis()
     frac = -Q(k) / (chi_f - 1)
     chrom = Q(-k, chi - 1)
     if frac > chrom:
@@ -88,14 +89,15 @@ def _chromatic_uppers(k: int, chi_f, chi: int) -> tuple[float, float]:
 
 
 def lovasz_upper(g: SimpleGraph) -> tuple[float, float]:
-    """(-lambda_1/(chi_f - 1), -lambda_1/(chi - 1)); no regularity needed."""
+    """(-lambda_1/(chi_f - 1), -lambda_1/(chi - 1)) for G with an edge; no regularity needed."""
 
-    return _lovasz_upper(lambda_max(g), fractional_chromatic(g), chromatic_number(g))
+    return _lovasz_upper(g, lambda_max(g), lambda: (fractional_chromatic(g), chromatic_number(g)))
 
 
-def _lovasz_upper(lam1: float, chi_f, chi: int) -> tuple[float, float]:
-    if chi_f <= 1 or chi <= 1:
-        raise ValueError("these upper bounds need an edge")
+def _lovasz_upper(g: SimpleGraph, lam1: float, chis) -> tuple[float, float]:
+    if not g.m:
+        raise NotApplicable("these upper bounds need an edge")
+    chi_f, chi = chis()
     return lam1 / (1 - float(chi_f)), lam1 / (1 - chi)
 
 
@@ -107,9 +109,9 @@ def alon_sudakov_lower(g: SimpleGraph) -> float:
     """-Delta + 1/((D+1) n) for a connected nonbipartite simple graph."""
 
     if not is_connected(g):
-        raise ValueError("diameter bound needs a connected graph")
+        raise NotApplicable("diameter bound needs a connected graph")
     if bipartition(g) is not None:
-        raise ValueError("diameter bound needs a nonbipartite graph")
+        raise NotApplicable("diameter bound needs a nonbipartite graph")
     delta = max(g.degrees())
     d = diameter(g)
     return float(-delta + Q(1, (d + 1) * g.n))
@@ -135,10 +137,9 @@ def bipartiteness_ratio(g: SimpleGraph) -> BipartitenessWitness:
     Subsets of volume 0 (isolated vertices only) are never candidates.
     """
 
-    if g.n > MAX_BETA_ORDER:
-        raise ValueError(f"bipartiteness ratio capped at n <= {MAX_BETA_ORDER}")
     if g.m == 0:
-        raise ValueError("bipartiteness ratio needs at least one edge")
+        raise NotApplicable("bipartiteness ratio needs at least one edge")
+    require_order("bipartiteness ratio", g.n, MAX_BETA_ORDER)
     n = g.n
     rows = g.rows
     degs = g.degrees()
@@ -183,11 +184,9 @@ def bipartiteness_ratio(g: SimpleGraph) -> BipartitenessWitness:
 
 
 def trevisan_lower(g: SimpleGraph) -> float:
-    """-d + beta^2/d for a d-regular graph."""
+    """-d + beta^2/d for a d-regular graph with an edge (bipartiteness_ratio tests for one)."""
 
     d = _require_regular(g)
-    if d == 0:
-        raise ValueError("trevisan bound needs edges")
     beta = bipartiteness_ratio(g).ratio
     return float(-d + beta * beta / d)
 
@@ -217,11 +216,11 @@ def triangle_stats(g: SimpleGraph) -> tuple[int, int]:
 
 
 def tm_lower(g: SimpleGraph) -> tuple[float, bool]:
-    """-d + m/t for connected regular G; (-d, vacuous=True) when triangle-free."""
+    """-d + m/t for connected regular G, n >= 2; (-d, vacuous=True) when triangle-free."""
 
     d = _require_regular(g)
-    if not is_connected(g):
-        raise ValueError("triangle-density bound needs a connected graph")
+    if g.n < 2 or not is_connected(g):
+        raise NotApplicable("triangle-density bound needs a connected graph on two or more vertices")
     m, t = triangle_stats(g)
     if t == 0:
         return float(-d), True
@@ -264,20 +263,16 @@ def is_K1k_free(g: SimpleGraph, k: int):
 
 
 def aab_lower(g: SimpleGraph, k: int) -> float:
-    """-d + t(d,k)/(d-1) for a connected d-regular K_{1,k}-free graph."""
+    """-d + t(d,k)/(d-1) for a connected d-regular K_{1,k}-free graph, d >= k."""
 
     d = _require_regular(g)
     if not is_connected(g):
-        raise ValueError("star-free bound needs a connected graph")
+        raise NotApplicable("star-free bound needs a connected graph")
+    if d < k:
+        raise NotApplicable("star-free bound needs degree at least k")
     free, witness = is_K1k_free(g, k)
     if not free:
-        raise ValueError(f"graph contains an induced K_1,{k} at {witness}")
-    if d < k:
-        raise ValueError("star-free bound needs degree at least k")
-    return _aab_value(d, k)
-
-
-def _aab_value(d: int, k: int) -> float:
+        raise NotApplicable(f"graph contains an induced K_1,{k} at {witness}")
     return float(-d + Q(turan_t(d, k), d - 1))
 
 
@@ -325,16 +320,9 @@ def cubic_clawfree_check(g: SimpleGraph) -> ClawfreeCubicReport:
     partition; A + 2I is checked positive semidefinite exactly.
     """
 
-    d = g.regular_degree()
-    if d != 3:
-        raise ValueError("this bound is about cubic graphs")
-    if g.n < 6:
-        raise ValueError("needs at least 6 vertices")
-    if not is_connected(g):
-        raise ValueError("needs a connected graph")
-    free, witness = is_K1k_free(g, 3)
-    if not free:
-        raise ValueError(f"graph has an induced claw at {witness}")
+    if g.regular_degree() != 3 or g.n < 6:
+        raise NotApplicable("this bound is about cubic graphs on at least 6 vertices")
+    aab_lower(g, 3)  # raises NotApplicable unless G is connected and claw-free
     kinds = []
     for v in range(g.n):
         nbrs = list(g.neighbors(v))
@@ -463,11 +451,12 @@ def product_tightness(g1: SimpleGraph, k1: CliquePartition, g2: SimpleGraph, k2:
     }
     if lambda_min_exact(prod.adjacency(dtype=object), hint=lam) != expected:
         raise CertificateError("product eigenvalue does not match -k1 k2/(c1-1)")
-    if prod.n <= MAX_CLIQUE_ORDER:
-        star = lambda_star_K(prod)
-        report["lambda_star_K"] = star.value
-        if star.value != expected:
-            raise CertificateError("lambda*_K on the product missed the closed form")
+    try:
+        report["lambda_star_K"] = lambda_star_K(prod).value
+    except CapExceeded:
+        return report
+    if report["lambda_star_K"] != expected:
+        raise CertificateError("lambda*_K on the product missed the closed form")
     return report
 
 
@@ -531,16 +520,12 @@ def find_automorphism(g: SimpleGraph, forced: dict):
 
 
 def is_vertex_transitive(g: SimpleGraph) -> bool:
-    if g.n > MAX_ORBIT_ORDER:
-        raise ValueError(f"orbit computation capped at n <= {MAX_ORBIT_ORDER}")
-    return all(
-        find_automorphism(g, {0: v}) is not None for v in range(1, g.n)
-    )
+    require_order("vertex transitivity", g.n, MAX_ORBIT_ORDER)
+    return all(find_automorphism(g, {0: v}) is not None for v in range(1, g.n))
 
 
 def is_edge_transitive(g: SimpleGraph) -> bool:
-    if g.n > MAX_ORBIT_ORDER:
-        raise ValueError(f"orbit computation capped at n <= {MAX_ORBIT_ORDER}")
+    require_order("edge transitivity", g.n, MAX_ORBIT_ORDER)
     edges = g.edges()
     if not edges:
         return True
@@ -556,18 +541,17 @@ def is_edge_transitive(g: SimpleGraph) -> bool:
 def vertrans_bound(g: SimpleGraph):
     """lambda = -k/(omega - 1) for vertex- and edge-transitive G with alpha omega = n.
 
-    Transitivity is established by brute-force orbit checks for n <= 10.
-    Returns None when the hypotheses fail or cannot be established.
+    Transitivity is established by brute-force orbit checks, which raise
+    CapExceeded above MAX_ORBIT_ORDER.  Returns None when the hypotheses fail.
     """
 
-    if g.n > MAX_ORBIT_ORDER or not (is_vertex_transitive(g) and is_edge_transitive(g)):
+    if not (is_vertex_transitive(g) and is_edge_transitive(g)):
         return None
     alpha = independence_number(g)
     omega = clique_number(g)
     if alpha * omega != g.n or omega < 2:
         return None
-    k = _require_regular(g)
-    return Q(-k, omega - 1)
+    return Q(-_require_regular(g), omega - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -606,59 +590,63 @@ class BoundReport:
         ]
 
 
-def bound_report(g: SimpleGraph, name: str = "graph", partition: CliquePartition | None = None, lp: bool = False) -> BoundReport:
-    """Run every applicable bound on G and aggregate a checked report.
+def _report_lambda_star_C(g: SimpleGraph):
+    """lambda*_C as a report runs it: on graphs with an edge, to REPORT_COMPLETE_ORDER."""
 
-    A bound whose preconditions hold but whose exhaustive search or LP is
-    capped below the order of G is listed in rep.skipped with the reason.
+    if not g.m:
+        raise NotApplicable("a report runs lambda*_C on graphs with an edge")
+    require_order("lambda*_C", g.n, REPORT_COMPLETE_ORDER)
+    return lambda_star_C(g).value
+
+
+def bound_report(g: SimpleGraph, name: str = "graph", partition: CliquePartition | None = None, lp: bool = False) -> BoundReport:
+    """Run every bound on G, in a fixed order, and aggregate a checked report.
+
+    Each bound tests its own hypotheses and size caps, so the report tests
+    none: a bound that raises NotApplicable is left out, and one that
+    raises CapExceeded is listed in rep.skipped with the reason, under
+    every entry name it would have filled.  chi_f and chi are computed
+    once, by the first chromatic or Lovasz bound that gets to them.
     """
 
     spec = spectrum(g.adjacency(dtype=float)) if g.n else None
-    lam = spec.lambda_min if g.n else 0.0
+    lam, lam1 = (spec.lambda_min, spec.lambda_max) if spec else (0.0, 0.0)
     rep = BoundReport(name, g.n, g.m, lam)
-    k = g.regular_degree()
-    connected = is_connected(g) if g.n else False
-    # shared by the chromatic and Lovasz bounds, which have the same cap
-    if g.m > 0 and g.n <= MAX_COLOR_ORDER:
-        chi_f, chi = fractional_chromatic(g), chromatic_number(g)
+    chis = cache(lambda: (fractional_chromatic(g), chromatic_number(g)))
 
-    def put(entry_name, kind, value, note=""):
-        tight = abs(value - lam) <= TIGHT_TOL
-        rep.entries.append(BoundEntry(entry_name, kind, value, tight, note))
+    @contextmanager
+    def attempt(kind, *entry_names):
+        def put(*values, note=""):
+            for entry_name, value in zip(entry_names, values):
+                rep.entries.append(BoundEntry(entry_name, kind, value, abs(value - lam) <= TIGHT_TOL, note))
+        try:
+            yield put
+        except NotApplicable:
+            pass
+        except CapExceeded as exc:
+            rep.skipped.extend((entry_name, exc.reason) for entry_name in entry_names)
 
-    def fits(entry_names, cap):
-        if g.n <= cap:
-            return True
-        for entry_name in entry_names:
-            rep.skipped.append((entry_name, f"n = {g.n} exceeds the cap n <= {cap}"))
-        return False
-
-    if connected and bipartition(g) is None:
-        put("alon_sudakov", "lower", alon_sudakov_lower(g))
-    if k is not None and k > 0 and fits(["trevisan"], MAX_BETA_ORDER):
-        put("trevisan", "lower", trevisan_lower(g))
-    if k is not None and connected and g.n >= 2:
+    with attempt("lower", "alon_sudakov") as put:
+        put(alon_sudakov_lower(g))
+    with attempt("lower", "trevisan") as put:
+        put(trevisan_lower(g))
+    with attempt("lower", "triangle_density") as put:
         value, vacuous = tm_lower(g)
-        put("triangle_density", "lower", value, note="vacuous" if vacuous else "")
-        if k >= 3 and is_K1k_free(g, 3)[0]:
-            put("star_free_k3", "lower", _aab_value(k, 3))
+        put(value, note="vacuous" if vacuous else "")
+    with attempt("lower", "star_free_k3") as put:
+        put(aab_lower(g, 3))
     if partition is not None:
-        b = clique_partition_bound(partition, g)
-        put("clique_partition", "lower", b, note=f"mu={partition.mu}")
-    if lp and g.m > 0:
-        if fits(["lambda_star_K"], MAX_CLIQUE_ORDER):
-            put("lambda_star_K", "lower", lambda_star_K(g).value)
-        if fits(["lambda_star_C"], REPORT_COMPLETE_ORDER):
-            put("lambda_star_C", "lower", lambda_star_C(g).value)
-    if k is not None and k > 0:
-        if fits(["hoffman"], MAX_CLIQUE_ORDER):
-            put("hoffman", "upper", hoffman_upper(g))
-        if fits(["fractional_chromatic", "chromatic"], MAX_COLOR_ORDER):
-            frac, chrom = _chromatic_uppers(k, chi_f, chi)
-            put("fractional_chromatic", "upper", frac)
-            put("chromatic", "upper", chrom)
-    if g.m > 0 and fits(["lovasz_fractional", "lovasz_chromatic"], MAX_COLOR_ORDER):
-        lov_f, lov_c = _lovasz_upper(spec.lambda_max, chi_f, chi)
-        put("lovasz_fractional", "upper", lov_f)
-        put("lovasz_chromatic", "upper", lov_c)
+        with attempt("lower", "clique_partition") as put:
+            put(clique_partition_bound(partition, g), note=f"mu={partition.mu}")
+    if lp:
+        with attempt("lower", "lambda_star_K") as put:
+            put(lambda_star_K(g).value)
+        with attempt("lower", "lambda_star_C") as put:
+            put(_report_lambda_star_C(g))
+    with attempt("upper", "hoffman") as put:
+        put(hoffman_upper(g))
+    with attempt("upper", "fractional_chromatic", "chromatic") as put:
+        put(*_chromatic_uppers(g, chis))
+    with attempt("upper", "lovasz_fractional", "lovasz_chromatic") as put:
+        put(*_lovasz_upper(g, lam1, chis))
     return rep

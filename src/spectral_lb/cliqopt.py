@@ -25,7 +25,7 @@ from .decomp import (
     decomposition,
     decomposition_bound,
 )
-from .graphs import SimpleGraph, as_weighted, bit_indices, scale
+from .graphs import NotApplicable, SimpleGraph, as_weighted, bit_indices, require_order, scale
 from .rationals import Q, QZERO, denominator_lcm
 from .simplex import OPTIMAL, RationalLP, SimplexError
 
@@ -68,8 +68,7 @@ def maximal_cliques(g: SimpleGraph) -> list[int]:
 def enumerate_cliques(g: SimpleGraph, min_size: int = 2) -> list[tuple[int, ...]]:
     """All cliques of size >= min_size, as sorted vertex tuples."""
 
-    if g.n > MAX_CLIQUE_ORDER:
-        raise ValueError(f"clique enumeration capped at n <= {MAX_CLIQUE_ORDER}")
+    require_order("clique enumeration", g.n, MAX_CLIQUE_ORDER)
     seen = set()
     for mask in maximal_cliques(g):
         members = tuple(bit_indices(mask))
@@ -86,8 +85,7 @@ def enumerate_cliques(g: SimpleGraph, min_size: int = 2) -> list[tuple[int, ...]
 def clique_number(g: SimpleGraph) -> int:
     """Order of the largest clique, by branch and bound with colour bounds."""
 
-    if g.n > MAX_CLIQUE_ORDER:
-        raise ValueError(f"clique number capped at n <= {MAX_CLIQUE_ORDER}")
+    require_order("clique number", g.n, MAX_CLIQUE_ORDER)
     if g.n == 0:
         return 0
     rows = g.rows
@@ -126,8 +124,7 @@ def independence_number(g: SimpleGraph) -> int:
 def chromatic_number(g: SimpleGraph) -> int:
     """Exact chromatic number via DSATUR branch and bound."""
 
-    if g.n > MAX_COLOR_ORDER:
-        raise ValueError(f"chromatic number capped at n <= {MAX_COLOR_ORDER}")
+    require_order("chromatic number", g.n, MAX_COLOR_ORDER)
     n = g.n
     if n == 0:
         return 0
@@ -193,8 +190,7 @@ def turan_t(d: int, k: int) -> int:
 def fractional_chromatic(g: SimpleGraph):
     """Exact LP optimum of the independent-set cover relaxation."""
 
-    if g.n > MAX_COLOR_ORDER:
-        raise ValueError(f"fractional chromatic capped at n <= {MAX_COLOR_ORDER}")
+    require_order("fractional chromatic number", g.n, MAX_COLOR_ORDER)
     if g.n == 0:
         return QZERO
     ind_sets = maximal_cliques(g.complement())
@@ -312,10 +308,9 @@ def lambda_star_K(g: SimpleGraph) -> LambdaStarResult:
     exactly through clique_partition_stats: its -r/mu must equal the optimum.
     """
 
-    if g.n > MAX_CLIQUE_ORDER:
-        raise ValueError(f"lambda*_K capped at n <= {MAX_CLIQUE_ORDER}")
     if not g.m:
-        raise ValueError("lambda*_K needs at least one edge")
+        raise NotApplicable("lambda*_K needs at least one edge")
+    require_order("lambda*_K", g.n, MAX_CLIQUE_ORDER)
     model, pieces, k2 = _decomposition_model(g.n, enumerate_cliques(g, 2), False)
     sol, mu, counts = _solve_decomposition(model, pieces, k2, lambda u, v: 1, [0] * g.n)
     partition = CliquePartition(
@@ -359,10 +354,9 @@ def lambda_star_C(h) -> LambdaStarResult:
 
     h = as_weighted(h)
     n = h.n
-    if n > MAX_COMPLETE_ORDER:
-        raise ValueError(f"lambda*_C capped at n <= {MAX_COMPLETE_ORDER}")
     if n == 0:
-        raise ValueError("lambda*_C needs at least one vertex")
+        raise NotApplicable("lambda*_C needs at least one vertex")
+    require_order("lambda*_C", n, MAX_COMPLETE_ORDER)
     model, pieces, k2 = _complete_model(n)
     loops = [h.weight(u, u) for u in range(n)]
     sol, mu, counts = _solve_decomposition(model, pieces, k2, h.weight, loops)

@@ -16,6 +16,25 @@ import numpy as np
 from .rationals import Q, QZERO, as_q
 
 
+class NotApplicable(ValueError):
+    """The graph fails a hypothesis of the bound or check asked for."""
+
+
+class CapExceeded(ValueError):
+    """A graph is above the size cap of the computation what; reason says by how much."""
+
+    def __init__(self, what: str, reason: str):
+        super().__init__(f"{what}: {reason}")
+        self.what, self.reason = what, reason
+
+
+def require_order(what: str, n: int, cap: int) -> None:
+    """Raise CapExceeded unless n <= cap: the one place a size cap is compared."""
+
+    if n > cap:
+        raise CapExceeded(what, f"n = {n} exceeds the cap n <= {cap}")
+
+
 def _pair(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 

@@ -20,7 +20,7 @@ from math import lcm
 
 import numpy as np
 
-from .graphs import Multigraph, SimpleGraph, WeightedGraph, as_weighted
+from .graphs import Multigraph, SimpleGraph, WeightedGraph, as_weighted, require_order
 from .rationals import (
     Q,
     QZERO,
@@ -60,7 +60,7 @@ class Spectrum:
 
 
 def spectrum(a) -> Spectrum:
-    """Full spectrum of a symmetric matrix (rational entries or floats)."""
+    """Full spectrum of a symmetric matrix (rational entries or floats) of order <= MAX_ORDER."""
 
     af = np.array(a, dtype=float)
     if af.shape == (0,):  # [] is the 0 x 0 matrix
@@ -68,8 +68,7 @@ def spectrum(a) -> Spectrum:
     if af.ndim != 2 or af.shape[0] != af.shape[1]:
         raise ValueError("matrix must be square")
     n = af.shape[0]
-    if n > MAX_ORDER:
-        raise ValueError(f"matrix order {n} exceeds the supported cap {MAX_ORDER}")
+    require_order("spectrum", n, MAX_ORDER)
     if not np.array_equal(af, af.T):
         raise ValueError("matrix is not symmetric")
     values, vectors = np.linalg.eigh(af)

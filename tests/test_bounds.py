@@ -44,7 +44,7 @@ from spectral_lb.catalog import (
     shrikhande,
 )
 from spectral_lb.decomp import CliquePartition
-from spectral_lb.graphs import build_simple, composition
+from spectral_lb.graphs import CapExceeded, NotApplicable, build_simple, composition
 from spectral_lb.rationals import Q, is_rational
 from spectral_lb.spectra import lambda_min
 
@@ -425,6 +425,14 @@ def test_vertrans_bound_cases():
     assert vertrans_bound(comp) == Q(-2)
 
 
+def test_vertrans_bound_above_the_orbit_cap_is_a_cap_not_a_failed_hypothesis():
+    # C12 is vertex- and edge-transitive with alpha omega = 6 * 2 = 12, so
+    # only the orbit search's cap stands between it and the bound
+    with pytest.raises(CapExceeded) as info:
+        vertrans_bound(cycle(12))
+    assert (info.value.what, info.value.reason) == ("vertex transitivity", "n = 12 exceeds the cap n <= 10")
+
+
 # ---------------------------------------------------------------------------
 # aggregated report
 
@@ -499,3 +507,94 @@ def test_bound_report_violations_use_the_tightness_tolerance():
         BoundEntry("far_ok", "lower", -5.0),
     ]
     assert [en.name for en in rep.violations] == ["low_bad", "up_bad"]
+
+
+def _path(n):
+    return build_simple(n, [(u, u + 1) for u in range(n - 1)])
+
+
+def _capped_calls():
+    import numpy as np
+
+    import spectral_lb.bounds as bounds
+    import spectral_lb.cliqopt as cliqopt
+    import spectral_lb.spectra as spectra
+    from spectral_lb.cliqopt import (
+        chromatic_number,
+        clique_number,
+        enumerate_cliques,
+        fractional_chromatic,
+        lambda_star_C,
+        lambda_star_K,
+    )
+    from spectral_lb.spectra import spectrum
+
+    # (public function, its argument builder, the cap, the computation named)
+    return [
+        (spectrum, lambda n: np.zeros((n, n)), spectra.MAX_ORDER, "spectrum"),
+        (enumerate_cliques, _path, cliqopt.MAX_CLIQUE_ORDER, "clique enumeration"),
+        (clique_number, _path, cliqopt.MAX_CLIQUE_ORDER, "clique number"),
+        (chromatic_number, _path, cliqopt.MAX_COLOR_ORDER, "chromatic number"),
+        (fractional_chromatic, _path, cliqopt.MAX_COLOR_ORDER, "fractional chromatic number"),
+        (lambda_star_K, _path, cliqopt.MAX_CLIQUE_ORDER, "lambda*_K"),
+        (lambda_star_C, _path, cliqopt.MAX_COMPLETE_ORDER, "lambda*_C"),
+        (bipartiteness_ratio, _path, bounds.MAX_BETA_ORDER, "bipartiteness ratio"),
+        (is_vertex_transitive, _path, bounds.MAX_ORBIT_ORDER, "vertex transitivity"),
+        (is_edge_transitive, _path, bounds.MAX_ORBIT_ORDER, "edge transitivity"),
+        (vertrans_bound, cycle, bounds.MAX_ORBIT_ORDER, "vertex transitivity"),
+        (trevisan_lower, cycle, bounds.MAX_BETA_ORDER, "bipartiteness ratio"),
+        (hoffman_upper, cycle, cliqopt.MAX_CLIQUE_ORDER, "clique number"),
+    ]
+
+
+@pytest.mark.parametrize("call", _capped_calls(), ids=lambda call: call[0].__name__)
+def test_every_capped_search_raises_cap_exceeded_one_above_its_cap(call):
+    fn, build, cap, what = call
+    with pytest.raises(CapExceeded) as info:
+        fn(build(cap + 1))
+    assert (info.value.what, info.value.reason) == (what, f"n = {cap + 1} exceeds the cap n <= {cap}")
+
+
+def test_failed_hypotheses_raise_not_applicable_and_bad_arguments_plain_value_error():
+    for fn, g in (
+        (alon_sudakov_lower, cycle(6)),
+        (hoffman_upper, build_simple(30, [])),
+        (tm_lower, build_simple(1, [])),
+        (lambda g: aab_lower(g, 3), petersen()),
+        (cubic_clawfree_check, cycle(6)),
+    ):
+        with pytest.raises(NotApplicable):
+            fn(g)
+    with pytest.raises(ValueError) as info:
+        is_K1k_free(petersen(), 2)
+    assert not isinstance(info.value, NotApplicable)
+
+
+@pytest.mark.parametrize(
+    "g,skipped",
+    [
+        (build_simple(30, []), []),
+        (build_simple(1, []), []),
+        (
+            # 2 x C13: disconnected and 2-regular, so every capped bound that
+            # applies is skipped and the connected-only ones are left out
+            build_simple(26, [(i + s, (i + 1) % 13 + s) for s in (0, 13) for i in range(13)]),
+            [
+                ("trevisan", "n = 26 exceeds the cap n <= 14"),
+                ("lambda_star_K", "n = 26 exceeds the cap n <= 24"),
+                ("lambda_star_C", "n = 26 exceeds the cap n <= 10"),
+                ("hoffman", "n = 26 exceeds the cap n <= 24"),
+                ("fractional_chromatic", "n = 26 exceeds the cap n <= 18"),
+                ("chromatic", "n = 26 exceeds the cap n <= 18"),
+                ("lovasz_fractional", "n = 26 exceeds the cap n <= 18"),
+                ("lovasz_chromatic", "n = 26 exceeds the cap n <= 18"),
+            ],
+        ),
+    ],
+    ids=["edgeless30", "K1", "two_C13"],
+)
+def test_bound_report_tests_each_hypothesis_before_its_cap(g, skipped):
+    # a bound whose hypotheses fail is left out even above its cap
+    rep = bound_report(g, lp=True)
+    assert rep.entries == []
+    assert rep.skipped == skipped

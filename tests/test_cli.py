@@ -276,6 +276,19 @@ def test_lambda_star_above_cap_is_a_skip(tmp_path, capsys, monkeypatch, command,
     assert not cert.exists()
 
 
+@pytest.mark.parametrize("command", [("spectrum", "-"), ("bounds", "-"), ("bounds", "-", "--lp", "--json")])
+def test_eigensolver_cap_is_a_skip(capsys, monkeypatch, command):
+    # C2049 is one vertex above the eigensolver's cap: a skip line and exit 0, not an input error
+    result = _pipe(capsys, monkeypatch, ("catalog", "get", "cycle", "2049"), command)
+    assert result == (0, "spectrum skipped [n = 2049 exceeds the cap n <= 2048]\n", "")
+
+
+def test_lambda_star_k_tests_for_an_edge_before_its_cap(tmp_path, capsys):
+    path = tmp_path / "edgeless.txt"
+    path.write_text("30 0\n")
+    assert run(capsys, "lambda-star-k", str(path)) == (2, "", "error: lambda*_K needs at least one edge\n")
+
+
 def test_bounds_below_cap_reports_no_skips(capsys, monkeypatch):
     code, out, _ = _pipe(
         capsys, monkeypatch, ("catalog", "get", "petersen"), ("bounds", "-", "--json")

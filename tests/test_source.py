@@ -79,3 +79,14 @@ def test_no_function_level_imports_in_package():
                     if isinstance(inner, (ast.Import, ast.ImportFrom)):
                         found.append(f"{path.name}:{inner.lineno}")
     assert not found, f"function-level imports in the package: {sorted(set(found))}"
+
+
+def test_cap_wording_is_written_once_in_package():
+    # every size cap is compared and worded by graphs.require_order alone
+    hits = [
+        f"{path.name}:{i}"
+        for path in sorted(SRC.glob("*.py"))
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if "exceeds the cap" in line
+    ]
+    assert len(hits) == 1, hits
