@@ -362,38 +362,6 @@ def cubic_clawfree_check(g: SimpleGraph) -> ClawfreeCubicReport:
 # clique partition side conditions
 
 
-def deltbnd_check(k: CliquePartition, g: SimpleGraph):
-    """(Delta/(c-1), tightness flag, per-vertex (mu d_u + e_u)/c refinements).
-
-    Tight exactly when some maximum-degree vertex sees only cliques of the
-    smallest order c.
-    """
-
-    r_u, r, c = clique_partition_stats(k, g)
-    if c < 2:
-        raise ValueError("needs a nonempty partition")
-    degs = g.degrees()
-    delta = max(degs)
-    bound = Q(delta, c - 1)
-    if Q(r, k.mu) > bound:
-        raise CertificateError("partition exceeds the degree bound")
-    orders_at = [[] for _ in range(g.n)]
-    for cl in k.cliques:
-        for u in cl:
-            orders_at[u].append(len(cl))
-    tight = any(
-        degs[u] == delta and all(o == c for o in orders_at[u])
-        for u in range(g.n)
-    )
-    refine = []
-    for u in range(g.n):
-        e_u = sum(1 for o in orders_at[u] if o == c)
-        refine.append(Q(k.mu * degs[u] + e_u, c))
-        if r_u[u] > refine[u]:
-            raise CertificateError("per-vertex refinement violated")
-    return bound, tight, tuple(refine)
-
-
 def product_partition(g1, k1: CliquePartition, g2, k2: CliquePartition):
     """Uniform-order clique partition of the direct product, as in the text.
 
@@ -609,7 +577,7 @@ def bound_report(g: SimpleGraph, name: str = "graph", partition: CliquePartition
     once, by the first chromatic or Lovasz bound that gets to them.
     """
 
-    spec = spectrum(g.adjacency(dtype=float)) if g.n else None
+    spec = spectrum(g) if g.n else None
     lam, lam1 = (spec.lambda_min, spec.lambda_max) if spec else (0.0, 0.0)
     rep = BoundReport(name, g.n, g.m, lam)
     chis = cache(lambda: (fractional_chromatic(g), chromatic_number(g)))

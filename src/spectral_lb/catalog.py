@@ -337,31 +337,3 @@ def named_graph(name: str, params=()) -> SimpleGraph:
     except TypeError as exc:
         raise ValueError(f"bad parameters for {name!r}: {params}") from exc
 
-
-def catalog_corpus() -> list[tuple[str, SimpleGraph]]:
-    """The graphs swept by the bound-sanity acceptance test."""
-
-    return [
-        ("petersen", petersen()),
-        ("dodecahedron", dodecahedron()),
-        ("icosahedron", icosahedron()),
-        ("octahedron", octahedron()),
-        ("shrikhande", shrikhande()),
-        ("cycle5", cycle(5)),
-        ("cycle6", cycle(6)),
-        ("path4", path(4)),
-        ("complete5", complete(5)),
-        ("k33", complete_multipartite([3, 3])),
-        ("k221", complete_multipartite([2, 2, 1])),
-        ("prism3", prism(3)),
-        ("johnson52", johnson(5, 2)),
-        ("johnson62", johnson(6, 2)),
-        ("johnson63", johnson(6, 3)),
-        ("kneser62", kneser(6, 2)),
-        ("hamming222", hamming([2, 2, 2])),
-        ("hamming23", hamming([2, 3])),
-        ("circulant_10_2", circulant(10, 2)),
-        ("circulant_12_1", circulant(12, 1)),
-        ("circulant_15_2", circulant(15, 2)),
-        ("circulant_21_3", circulant(21, 3)),
-    ]

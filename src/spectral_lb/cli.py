@@ -65,7 +65,7 @@ def _cmd_spectrum(args) -> int:
     g = _read_graph(args.graph)
     if not isinstance(g, SimpleGraph):
         g = as_weighted(g)
-    spec = spectrum(g.adjacency(dtype=float))
+    spec = spectrum(g)
     exact = set()
     if g.n <= EXACT_MAX_ORDER:
         exact = set(verified_integer_eigenvalues(g.adjacency(dtype=object), spec.values))

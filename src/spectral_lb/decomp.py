@@ -5,10 +5,12 @@ weighted pieces living on vertex subsets.  The smallest eigenvalue of H is
 then at least the worst per-vertex sum of piece eigenvalues, with an
 explicit certificate (a null vector of A(H) - lambda_D I meeting the
 support and eigenvector conditions) characterising equality.  Signed
-complete-graph pieces are ordinary pieces with closed-form minima.
-Specialisations cover clique partitions of integer multiples of a simple
-graph, line graphs of multigraphs, and the cubic trick for odd graph
-powers.
+complete-graph pieces are ordinary pieces with closed-form minima.  A
+complete multipartite graph is +J on its vertices and -J on each part;
+the claws T(u) that decompose the line graph of a multigraph are written
+that way, so the line-graph bound is the exact bound of that
+decomposition.  Specialisations also cover clique partitions of integer
+multiples of a simple graph and the cubic trick for odd graph powers.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .graphs import (
     Multigraph,
     SimpleGraph,
     WeightedGraph,
-    add,
     as_weighted,
     cartesian_product,
     embed,
@@ -92,13 +93,15 @@ def validate(d: Decomposition) -> None:
     """Check that the embedded piece weights sum exactly to the target weights."""
 
     n = d.target.n
-    total = WeightedGraph(n, {})
+    total = {}
     for p in d.pieces:
-        total = add(total, p.embedded(n))
-    if total.weights != d.target.weights:
+        for pair, w in p.embedded(n).weights.items():
+            total[pair] = total.get(pair, QZERO) + w
+    total = {pair: w for pair, w in total.items() if w != 0}
+    if total != d.target.weights:
         bad = []
-        for pair in sorted(set(total.weights) | set(d.target.weights)):
-            got = total.weight(*pair)
+        for pair in sorted(set(total) | set(d.target.weights)):
+            got = total.get(pair, QZERO)
             want = d.target.weight(*pair)
             if got != want:
                 bad.append(f"{pair}: sum {got} != target {want}")
@@ -280,39 +283,49 @@ def _verify_conditions_exact(d, lambdas, table, x):
 
 
 def complete_piece(kind: str, subset, coeff=1) -> Piece:
-    """The piece coeff * K_s or coeff * J_s on a sorted vertex subset."""
+    """The piece coeff * K_s or coeff * J_s on a sorted vertex subset (K_1 and J_0 are rejected)."""
 
     if kind not in ("K", "J"):
         raise ValueError("piece kind must be 'K' or 'J'")
     subset = tuple(sorted(subset))
-    if len(set(subset)) != len(subset):
+    s = len(subset)
+    if len(set(subset)) != s:
         raise ValueError("piece subset has repeated vertices")
-    graph = special_graph(kind, len(subset))  # rejects K_1 and empty subsets
+    if s < (2 if kind == "K" else 1):
+        raise ValueError(f"{kind}_{s} has no edges and is not used as a piece")
     coeff = as_q(coeff)
     if coeff == 0:
         raise ValueError("piece coefficient must be nonzero")
-    return Piece(scale(graph, coeff), subset)
+    loops = kind == "J"
+    weights = {(u, v): coeff for u in range(s) for v in range(u if loops else u + 1, s)}
+    return Piece(WeightedGraph(s, weights), subset)
+
+
+def _j_minus_parts(union, parts) -> list[Piece]:
+    """+J on union and -J on each part: the complete multipartite graph on the parts.
+
+    Each vertex of the union lies in exactly one part, so the loops cancel
+    and what remains is weight 1 on every pair from two different parts.
+    """
+
+    return [complete_piece("J", union, 1)] + [complete_piece("J", part, -1) for part in parts]
 
 
 def multipartite_decomposition(parts) -> Decomposition:
     """K_{n1,...,nm} = J_n - sum_j J_{n_j} on consecutively indexed parts."""
 
-    parts = list(parts)
-    n = sum(parts)
-    pieces = [complete_piece("J", range(n), 1)]
-    start = 0
-    target = {}
-    bounds = []
+    blocks, start = [], 0
     for p in parts:
-        pieces.append(complete_piece("J", range(start, start + p), -1))
-        bounds.append(range(start, start + p))
+        blocks.append(range(start, start + p))
         start += p
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            for u in bounds[i]:
-                for v in bounds[j]:
-                    target[(u, v) if u < v else (v, u)] = Q(1)
-    return decomposition(WeightedGraph(n, target), pieces)
+    target = {
+        (u, v): Q(1)
+        for i, bi in enumerate(blocks)
+        for bj in blocks[i + 1 :]
+        for u in bi
+        for v in bj
+    }
+    return decomposition(WeightedGraph(start, target), _j_minus_parts(range(start), blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -514,66 +527,39 @@ def min_real_cubic_root(a: float, b: float) -> float:
 
 
 def claw_decomposition(mg: Multigraph) -> Decomposition:
-    """The decomposition of L(multigraph) by the claw subgraphs T(u).
+    """The decomposition of L(multigraph) into the claws T(u).
 
-    T(u) is complete multipartite with parts given by the multiplicities of
-    the edges at u; vertices of degree one in the underlying graph give
-    edgeless T(u) and are omitted.
+    T(u) joins the edge instances at u that lead to different neighbours:
+    it is complete multipartite with one part per parallel class at u, so
+    it is written as +J on the instances at u and -J on each class.  A
+    vertex u with a single neighbour has an edgeless T(u) and gives no
+    pieces.  Every piece is a signed J_s, whose minimum is exact.
     """
 
-    if not mg.is_loopless:
-        raise ValueError("line graph machinery needs a loopless multigraph")
-    verts = line_graph_vertices(mg)
-    lg = line_graph(mg)
-    target = weighted_from_simple(lg)
+    target = weighted_from_simple(line_graph(mg))  # rejects loops
+    classes = [{} for _ in range(mg.n)]  # classes[u][w]: instances of the edge uw
+    for i, (a, b, _) in enumerate(line_graph_vertices(mg)):
+        classes[a].setdefault(b, []).append(i)
+        classes[b].setdefault(a, []).append(i)
     pieces = []
-    for u in range(mg.n):
-        members = [i for i, (a, b, _) in enumerate(verts) if u in (a, b)]
-        if len({_other(verts[i], u) for i in members}) < 2:
-            continue  # edgeless claw
-        sub = {}
-        for ii, i in enumerate(members):
-            for jj in range(ii + 1, len(members)):
-                j = members[jj]
-                if _other(verts[i], u) != _other(verts[j], u):
-                    sub[(ii, jj)] = Q(1)
-        piece = WeightedGraph(len(members), sub)
-        pieces.append(Piece(piece, tuple(members)))
+    for at_u in classes:
+        if len(at_u) >= 2:
+            pieces += _j_minus_parts([i for part in at_u.values() for i in part], at_u.values())
     return Decomposition(target, tuple(pieces))
 
 
-def _other(inst, u):
-    a, b, _ = inst
-    return b if a == u else a
-
-
 def line_graph_bound(mg: Multigraph):
-    """Exact lower bound on lambda(L(multigraph)) from the claw decomposition.
+    """Exact lower bound on lambda(L(multigraph)): the bound of its claw decomposition.
 
-    Each claw T(u) is complete multipartite, so lambda(T(u)) is at least
-    minus its largest part size (the largest multiplicity at u); summing
-    the two endpoint contributions per line-graph vertex and taking the
-    minimum gives the bound, always at least -2 mu.  Twig replication is
-    covered by the same computation because edgeless claws drop out.
+    At the line-graph vertex of an edge instance ab, each endpoint with two
+    or more neighbours contributes -m_ab, the order of the -J on the
+    parallel class, so the bound is at least -2 mu.  Twig replication is
+    covered by the same computation because edgeless claws drop out.  A
+    multigraph without edges gets 0.
     """
 
-    if not mg.is_loopless:
-        raise ValueError("line graph bound needs a loopless multigraph")
-    verts = line_graph_vertices(mg)
-    if not verts:
-        return QZERO
-    lam = {}
-    for u in range(mg.n):
-        incident = {(a, b): m for (a, b), m in mg.mult.items() if u in (a, b)}
-        others = {a if b == u else b for a, b in incident}
-        if len(others) >= 2:
-            lam[u] = -max(incident.values())
-    best = None
-    for u, v, _ in verts:
-        val = Q(lam.get(u, 0) + lam.get(v, 0))
-        if best is None or val < best:
-            best = val
-    return best
+    d = claw_decomposition(mg)
+    return decomposition_bound(d).value if d.target.n else QZERO
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import json
 
 from .decomp import CliquePartition
 from .graphs import (
-    Multigraph,
     SimpleGraph,
     WeightedGraph,
     as_weighted,
@@ -97,36 +96,6 @@ def format_edge_list(g) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_to_json(g) -> dict:
-    if isinstance(g, SimpleGraph):
-        return {
-            "fmt": FORMAT_VERSION,
-            "type": "simple",
-            "n": g.n,
-            "edges": [[u, v] for u, v in g.edges()],
-        }
-    if isinstance(g, Multigraph):
-        return {
-            "fmt": FORMAT_VERSION,
-            "type": "multigraph",
-            "n": g.n,
-            "mult": [[u, v, m] for (u, v), m in sorted(g.mult.items())],
-        }
-    if isinstance(g, WeightedGraph):
-        doc = {
-            "fmt": FORMAT_VERSION,
-            "type": "weighted",
-            "n": g.n,
-            "weights": [
-                [u, v, format_q(w)] for (u, v), w in sorted(g.weights.items())
-            ],
-        }
-        if g.labels is not None:
-            doc["labels"] = list(g.labels)
-        return doc
-    raise TypeError(f"not a graph value: {g!r}")
-
-
 def graph_from_json(doc: dict):
     if not isinstance(doc, dict):
         raise ParseError(f"graph document must be a JSON object, not {type(doc).__name__}")
@@ -199,10 +168,6 @@ def require_simple(g) -> SimpleGraph:
 
 # ---------------------------------------------------------------------------
 # partitions and certificates
-
-
-def partition_to_json(k: CliquePartition) -> dict:
-    return {"mu": k.mu, "cliques": [list(c) for c in k.cliques]}
 
 
 def partition_from_json(doc: dict) -> CliquePartition:

@@ -400,7 +400,7 @@ def line_graph(mg: Multigraph) -> SimpleGraph:
     """
 
     if not mg.is_loopless:
-        raise ValueError("line graph input must be loopless; see loops_to_pendants")
+        raise ValueError("line graph input must be loopless")
     verts = line_graph_vertices(mg)
     edges = []
     for i, (u1, v1, _) in enumerate(verts):
@@ -410,22 +410,6 @@ def line_graph(mg: Multigraph) -> SimpleGraph:
             if len(e1 & {u2, v2}) == 1:
                 edges.append((i, j))
     return build_simple(len(verts), edges)
-
-
-def loops_to_pendants(mg: Multigraph) -> Multigraph:
-    """Replace each loop by an edge to a fresh pendant vertex (line graph unchanged)."""
-
-    mult = {}
-    extra = 0
-    n = mg.n
-    for (u, v), m in sorted(mg.mult.items()):
-        if u == v:
-            for _ in range(m):
-                mult[(u, n + extra)] = 1
-                extra += 1
-        else:
-            mult[(u, v)] = m
-    return Multigraph(n + extra, mult)
 
 
 def twig_replicate(g: SimpleGraph, mult) -> Multigraph:

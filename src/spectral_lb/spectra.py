@@ -60,8 +60,15 @@ class Spectrum:
 
 
 def spectrum(a) -> Spectrum:
-    """Full spectrum of a symmetric matrix (rational entries or floats) of order <= MAX_ORDER."""
+    """Full spectrum of a graph value or a symmetric matrix (rational entries or floats).
 
+    The order is capped at MAX_ORDER.  A graph's order is checked before
+    its adjacency matrix is built, so a graph above the cap costs nothing.
+    """
+
+    if isinstance(a, (SimpleGraph, Multigraph, WeightedGraph)):
+        require_order("spectrum", a.n, MAX_ORDER)
+        a = (a if isinstance(a, SimpleGraph) else as_weighted(a)).adjacency(dtype=float)
     af = np.array(a, dtype=float)
     if af.shape == (0,):  # [] is the 0 x 0 matrix
         af = af.reshape(0, 0)
@@ -78,26 +85,23 @@ def spectrum(a) -> Spectrum:
     return Spectrum(values, vectors, resid)
 
 
-def _graph_matrix(g) -> np.ndarray:
-    if isinstance(g, (SimpleGraph, Multigraph, WeightedGraph)):
-        if g.n == 0:
-            raise ValueError("empty graph has no eigenvalues")
-        if not isinstance(g, SimpleGraph):
-            g = as_weighted(g)
-        return g.adjacency(dtype=float)
-    return g
+def _nonempty_spectrum(g) -> Spectrum:
+    spec = spectrum(g)
+    if not len(spec.values):
+        raise ValueError("empty graph has no eigenvalues")
+    return spec
 
 
 def lambda_min(g) -> float:
     """Smallest adjacency eigenvalue of a simple, multi- or weighted graph."""
 
-    return spectrum(_graph_matrix(g)).lambda_min
+    return _nonempty_spectrum(g).lambda_min
 
 
 def lambda_max(g) -> float:
     """Largest adjacency eigenvalue."""
 
-    return spectrum(_graph_matrix(g)).lambda_max
+    return _nonempty_spectrum(g).lambda_max
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Shared graph corpora for the tests.
 
 The small-graph corpus comes from the networkx atlas (every graph on up to
-seven vertices).  Connected cubic graphs are generated exhaustively by the
+seven vertices), and catalog_corpus names 22 catalog graphs.  Connected cubic graphs are generated exhaustively by the
 classical edge-insertion operation (subdivide two distinct edges and join
 the midpoints), seeded at K_4; completeness is checked against the known
 counts 1, 2, 5, 19, 85 for n = 4, 6, 8, 10, 12.
@@ -17,6 +17,22 @@ import networkx as nx
 import numpy as np
 from networkx.generators.atlas import graph_atlas_g
 
+from spectral_lb.catalog import (
+    circulant,
+    complete,
+    complete_multipartite,
+    cycle,
+    dodecahedron,
+    hamming,
+    icosahedron,
+    johnson,
+    kneser,
+    octahedron,
+    path,
+    petersen,
+    prism,
+    shrikhande,
+)
 from spectral_lb.graphs import SimpleGraph, build_simple
 
 CONNECTED_CUBIC_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85}
@@ -154,6 +170,35 @@ def _invariant(g: nx.Graph) -> tuple:
     tri = sum(nx.triangles(g).values()) // 3
     spec = tuple(round(x, 6) for x in sorted(np.linalg.eigvalsh(nx.to_numpy_array(g))))
     return tri, spec
+
+
+def catalog_corpus() -> list[tuple[str, SimpleGraph]]:
+    """The named graphs swept by the bound-sanity acceptance test."""
+
+    return [
+        ("petersen", petersen()),
+        ("dodecahedron", dodecahedron()),
+        ("icosahedron", icosahedron()),
+        ("octahedron", octahedron()),
+        ("shrikhande", shrikhande()),
+        ("cycle5", cycle(5)),
+        ("cycle6", cycle(6)),
+        ("path4", path(4)),
+        ("complete5", complete(5)),
+        ("k33", complete_multipartite([3, 3])),
+        ("k221", complete_multipartite([2, 2, 1])),
+        ("prism3", prism(3)),
+        ("johnson52", johnson(5, 2)),
+        ("johnson62", johnson(6, 2)),
+        ("johnson63", johnson(6, 3)),
+        ("kneser62", kneser(6, 2)),
+        ("hamming222", hamming([2, 2, 2])),
+        ("hamming23", hamming([2, 3])),
+        ("circulant_10_2", circulant(10, 2)),
+        ("circulant_12_1", circulant(12, 1)),
+        ("circulant_15_2", circulant(15, 2)),
+        ("circulant_21_3", circulant(21, 3)),
+    ]
 
 
 def random_connected_graph(rng: random.Random, n: int) -> SimpleGraph:

@@ -12,7 +12,7 @@ from itertools import combinations
 
 import pytest
 
-from corpus import connected_atlas, connected_cubic, random_connected_graph
+from corpus import catalog_corpus, connected_atlas, connected_cubic, random_connected_graph
 from spectral_lb.bounds import (
     aab_lower,
     bound_report,
@@ -23,7 +23,6 @@ from spectral_lb.bounds import (
 )
 from spectral_lb.catalog import (
     SrgParams,
-    catalog_corpus,
     circulant,
     circulant_spectrum,
     cycle,

@@ -16,7 +16,6 @@ from spectral_lb.bounds import (
     chromatic_uppers,
     cubic_clawfree_check,
     cubic_clawfree_theta,
-    deltbnd_check,
     find_automorphism,
     find_diamonds,
     hoffman_upper,
@@ -325,36 +324,6 @@ def test_circulant_family_goes_linearly_negative():
 
 # ---------------------------------------------------------------------------
 # partition side conditions
-
-
-def _triangles(g):
-    out = []
-    for u in range(g.n):
-        for v, w in combinations(list(g.neighbors(u)), 2):
-            if u < v < w and g.has_edge(v, w):
-                out.append((u, v, w))
-    return out
-
-
-def test_deltbnd_octahedron_tight():
-    g = octahedron()
-    part = CliquePartition(2, tuple(_triangles(g)))
-    bound, tight, refine = deltbnd_check(part, g)
-    assert bound == Q(2) and tight
-    # r_u = 4, refinement (mu d + e)/c = (8+4)/3 = 4: equality case
-    assert all(x == Q(4) for x in refine)
-
-
-def test_deltbnd_mixed_orders_k4():
-    from spectral_lb.decomp import clique_partition_stats
-
-    g = complete(4)
-    part = CliquePartition(1, ((0, 1, 2), (0, 3), (1, 3), (2, 3)))
-    bound, tight, refine = deltbnd_check(part, g)
-    assert bound == Q(3)
-    assert tight  # vertex 3 has max degree and sees only order-2 cliques
-    _, r, _ = clique_partition_stats(part, g)
-    assert Q(r, 1) == bound
 
 
 def test_product_partition_and_tightness():

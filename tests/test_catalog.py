@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from corpus import catalog_corpus
 from spectral_lb.catalog import (
     SrgParams,
-    catalog_corpus,
     catalog_names,
     circulant,
     circulant_spectrum,

@@ -7,7 +7,7 @@ import pytest
 from spectral_lb.cli import main
 from spectral_lb.decomp import CertificateError
 from spectral_lb.graph_io import format_edge_list
-from spectral_lb.catalog import petersen
+from spectral_lb.catalog import cycle, petersen
 from spectral_lb.simplex import SimplexError
 
 
@@ -281,6 +281,24 @@ def test_eigensolver_cap_is_a_skip(capsys, monkeypatch, command):
     # C2049 is one vertex above the eigensolver's cap: a skip line and exit 0, not an input error
     result = _pipe(capsys, monkeypatch, ("catalog", "get", "cycle", "2049"), command)
     assert result == (0, "spectrum skipped [n = 2049 exceeds the cap n <= 2048]\n", "")
+
+
+@pytest.mark.parametrize("command", [("spectrum", "-"), ("bounds", "-")])
+def test_eigensolver_cap_is_checked_before_the_matrix_is_built(capsys, monkeypatch, command):
+    # a dense 3000 x 3000 float matrix alone would take 72 MB
+    import io
+    import tracemalloc
+
+    text = format_edge_list(cycle(3000))
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    tracemalloc.start()
+    try:
+        result = run(capsys, *command)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (0, "spectrum skipped [n = 3000 exceeds the cap n <= 2048]\n", "")
+    assert peak < 10 * 2**20
 
 
 def test_lambda_star_k_tests_for_an_edge_before_its_cap(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Decomposition bounds, equality certificates and the clique machinery."""
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import random_connected_graph
 from spectral_lb.catalog import (
@@ -48,6 +51,8 @@ from spectral_lb.graphs import (
     build_simple,
     build_weighted,
     cartesian_product,
+    line_graph,
+    line_graph_vertices,
     multigraph_from_simple,
     scale,
     special_graph,
@@ -458,8 +463,6 @@ def test_line_graph_bound_twigs():
 
 
 def test_claw_decomposition_validates_and_bounds(rng):
-    from spectral_lb.graphs import line_graph
-
     for _ in range(10):
         g = random_connected_graph(rng, rng.randint(2, 6))
         mg = multigraph_from_simple(g)
@@ -467,3 +470,51 @@ def test_claw_decomposition_validates_and_bounds(rng):
         validate(d)
         lam = lambda_min(line_graph(mg)) if line_graph(mg).n else 0.0
         assert float(line_graph_bound(mg)) <= lam + 1e-8
+
+
+def _max_multiplicity_formula(mg):
+    """The reference closed form: -(largest multiplicity at u) for each claw, summed over the two ends."""
+
+    verts = line_graph_vertices(mg)
+    if not verts:
+        return Q(0)
+    lam = {}
+    for u in range(mg.n):
+        incident = {(a, b): m for (a, b), m in mg.mult.items() if u in (a, b)}
+        if len({a if b == u else b for a, b in incident}) >= 2:
+            lam[u] = -max(incident.values())
+    return min(Q(lam.get(u, 0) + lam.get(v, 0)) for u, v, _ in verts)
+
+
+@st.composite
+def _loopless_multigraphs(draw):
+    n = draw(st.integers(1, 7))
+    pairs = list(combinations(range(n), 2))
+    mult = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+    return build_multigraph(n, dict(zip(pairs, mult)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_loopless_multigraphs())
+def test_claw_bound_is_exact_between_the_formula_and_lambda(mg):
+    d = claw_decomposition(mg)
+    validate(d)
+    value = line_graph_bound(mg)
+    assert isinstance(value, Fraction)
+    formula = _max_multiplicity_formula(mg)
+    if d.target.n:
+        assert formula <= value <= lambda_min(line_graph(mg)) + 1e-9
+    else:
+        assert value == formula == 0
+    if set(mg.mult.values()) <= {1}:
+        assert value == formula
+
+
+def test_claw_bound_charges_each_edge_its_own_multiplicity():
+    # at the edge 12 the claw T(1) contributes -m_12 = -1, not -max = -3
+    mg = build_multigraph(4, {(0, 1): 3, (1, 2): 1, (2, 3): 1})
+    assert _max_multiplicity_formula(mg) == Q(-4)
+    assert exactly(line_graph_bound(mg), Q(-3))
+    assert lambda_min(line_graph(mg)) == pytest.approx(-2, abs=1e-9)
+    with pytest.raises(ValueError, match="loopless"):
+        line_graph_bound(build_multigraph(2, {(0, 0): 1, (0, 1): 1}))

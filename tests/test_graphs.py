@@ -6,6 +6,7 @@ import pytest
 from corpus import connected_atlas, random_connected_graph
 from spectral_lb.catalog import complete, complete_multipartite, cycle, petersen
 from spectral_lb.graphs import (
+    Multigraph,
     add,
     bipartition,
     build_multigraph,
@@ -19,7 +20,6 @@ from spectral_lb.graphs import (
     is_connected,
     line_graph,
     line_graph_vertices,
-    loops_to_pendants,
     multigraph_from_simple,
     power_multigraph,
     scale,
@@ -29,6 +29,22 @@ from spectral_lb.graphs import (
 )
 from spectral_lb.rationals import Q
 from spectral_lb.spectra import lambda_min, spectrum
+
+
+def loops_to_pendants(mg):
+    """Replace each loop by an edge to a fresh pendant vertex (line graph unchanged)."""
+
+    mult = {}
+    extra = 0
+    n = mg.n
+    for (u, v), m in sorted(mg.mult.items()):
+        if u == v:
+            for _ in range(m):
+                mult[(u, n + extra)] = 1
+                extra += 1
+        else:
+            mult[(u, v)] = m
+    return Multigraph(n + extra, mult)
 
 
 def test_build_simple_triangle():

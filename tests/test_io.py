@@ -7,19 +7,37 @@ import pytest
 from spectral_lb.catalog import cycle, petersen
 from spectral_lb.decomp import CliquePartition
 from spectral_lb.graph_io import (
+    FORMAT_VERSION,
     ParseError,
     certificate_to_json,
     format_edge_list,
     graph_from_json,
-    graph_to_json,
     load_graph_text,
     parse_edge_list,
     partition_from_json,
-    partition_to_json,
     require_simple,
 )
 from spectral_lb.graphs import build_multigraph, build_weighted, Multigraph, SimpleGraph, WeightedGraph
-from spectral_lb.rationals import Q
+from spectral_lb.rationals import Q, format_q
+
+
+def graph_to_json(g) -> dict:
+    """The JSON graph document of a graph value, the inverse of graph_from_json."""
+
+    doc = {"fmt": FORMAT_VERSION, "n": g.n}
+    if isinstance(g, SimpleGraph):
+        doc.update(type="simple", edges=[[u, v] for u, v in g.edges()])
+    elif isinstance(g, Multigraph):
+        doc.update(type="multigraph", mult=[[u, v, m] for (u, v), m in sorted(g.mult.items())])
+    else:
+        doc.update(type="weighted", weights=[[u, v, format_q(w)] for (u, v), w in sorted(g.weights.items())])
+        if g.labels is not None:
+            doc["labels"] = list(g.labels)
+    return doc
+
+
+def partition_to_json(k: CliquePartition) -> dict:
+    return {"mu": k.mu, "cliques": [list(c) for c in k.cliques]}
 
 
 def test_edge_list_roundtrip_simple():

@@ -1,6 +1,7 @@
 """The worked-example table: coverage, determinism and the control hook."""
 
 import json
+from pathlib import Path
 
 from spectral_lb.reproduce import build_rows, format_table, rows_to_json
 
@@ -58,3 +59,10 @@ def test_table_renders():
     rows = build_rows()[:5]
     table = format_table(rows)
     assert "example" in table and "pass" in table
+
+
+def test_rows_match_the_published_table():
+    # the benchmark compares every row's (example, quantity, expected) with this file
+    published = Path(__file__).resolve().parents[1] / "bench" / "reproduce_published.json"
+    rows = [[r.example, r.quantity, r.expected] for r in build_rows()]
+    assert rows == json.loads(published.read_text())
