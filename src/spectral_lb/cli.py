@@ -27,24 +27,24 @@ from .graph_io import (
     partition_from_json,
     require_simple,
 )
-from .graphs import CapExceeded, SimpleGraph, as_weighted
+from .graphs import CapExceeded, require_order
 from .rationals import format_q, is_rational
 from .reproduce import build_rows, format_table, rows_to_json
 from .simplex import SimplexError
-from .spectra import EXACT_MAX_ORDER, spectrum, verified_integer_eigenvalues
+from .spectra import EXACT_MAX_ORDER, MAX_ORDER, spectrum, verified_integer_eigenvalues
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 
 
-def _read_graph(path: str):
+def _read_graph(path: str, check_order=None):
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path) as fh:
             text = fh.read()
-    return load_graph_text(text)
+    return load_graph_text(text, check_order)
 
 
 def _cmd_catalog(args) -> int:
@@ -62,13 +62,12 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    g = _read_graph(args.graph)
-    if not isinstance(g, SimpleGraph):
-        g = as_weighted(g)
+    # the declared order meets the eigensolver's cap before any graph is built
+    g = _read_graph(args.graph, lambda n: require_order("spectrum", n, MAX_ORDER))
     spec = spectrum(g)
     exact = set()
     if g.n <= EXACT_MAX_ORDER:
-        exact = set(verified_integer_eigenvalues(g.adjacency(dtype=object), spec.values))
+        exact = set(verified_integer_eigenvalues(g, spec))
     for v in spec.values:
         flag = ""
         r = round(float(v))
@@ -169,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Print the eigenvalues in ascending order.  On graphs with at most "
             f"{EXACT_MAX_ORDER} vertices, an eigenvalue that is an integer is "
-            "certified by exact elimination and marked '(= k, exact)'."
+            "certified in exact integer arithmetic and marked '(= k, exact)'."
         ),
     )
     ps.add_argument("graph", help="edge-list or JSON file ('-' for stdin)")

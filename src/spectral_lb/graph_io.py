@@ -40,8 +40,14 @@ class ParseError(ValueError):
         self.line = line
 
 
-def parse_edge_list(text: str) -> WeightedGraph:
-    """Parse the `n m` / `u v [weight]` format into a weighted graph."""
+def parse_edge_list(text: str, check_order=None) -> WeightedGraph:
+    """Parse the `n m` / `u v [weight]` format into a weighted graph.
+
+    check_order, when given, is called with the header's n before any
+    edge line is read, so it can refuse a graph that is never built.
+    Integer weights add up as ints; only a `p/q` field makes a Fraction,
+    and build_weighted converts each distinct pair once.
+    """
 
     header = None
     weights = {}
@@ -60,6 +66,8 @@ def parse_edge_list(text: str) -> WeightedGraph:
                 raise ParseError("header entries must be integers", lineno)
             if header[0] < 0 or header[1] < 0:
                 raise ParseError("header entries must be nonnegative", lineno)
+            if check_order is not None:
+                check_order(header[0])
             continue
         if len(parts) not in (2, 3):
             raise ParseError("expected 'u v' or 'u v weight'", lineno)
@@ -70,14 +78,17 @@ def parse_edge_list(text: str) -> WeightedGraph:
         n = header[0]
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"endpoint out of range 0..{n - 1}", lineno)
-        w = Q(1)
+        w = 1
         if len(parts) == 3:
             try:
-                w = parse_q(parts[2])
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno)
+                w = int(parts[2])
+            except ValueError:
+                try:
+                    w = parse_q(parts[2])
+                except ValueError as exc:
+                    raise ParseError(str(exc), lineno)
         key = (u, v) if u <= v else (v, u)
-        weights[key] = weights.get(key, Q(0)) + w
+        weights[key] = weights.get(key, 0) + w
         count += 1
     if header is None:
         raise ParseError("empty input", 1)
@@ -96,7 +107,9 @@ def format_edge_list(g) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_from_json(doc: dict):
+def graph_from_json(doc: dict, check_order=None):
+    """The graph value of a JSON document; check_order as in parse_edge_list."""
+
     if not isinstance(doc, dict):
         raise ParseError(f"graph document must be a JSON object, not {type(doc).__name__}")
     if doc.get("fmt") != FORMAT_VERSION:
@@ -105,6 +118,8 @@ def graph_from_json(doc: dict):
     n = doc.get("n")
     if not _is_int(n) or n < 0:
         raise ParseError("missing or bad vertex count")
+    if check_order is not None:
+        check_order(n)
     try:
         if kind == "simple":
             return build_simple(n, [_endpoints(u, v) for u, v in doc["edges"]])
@@ -139,8 +154,12 @@ def _weight(w):
     raise ValueError(f"weight must be an integer or a 'p/q' string, not {w!r}")
 
 
-def load_graph_text(text: str):
-    """Auto-detect JSON versus edge-list by the first non-comment byte."""
+def load_graph_text(text: str, check_order=None):
+    """Auto-detect JSON versus edge-list by the first non-comment byte.
+
+    check_order, when given, is called with the declared vertex count
+    before any graph is built (see parse_edge_list).
+    """
 
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -148,10 +167,10 @@ def load_graph_text(text: str):
             continue
         if line[0] == "{":
             try:
-                return graph_from_json(json.loads(text))
+                return graph_from_json(json.loads(text), check_order)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"bad JSON: {exc}", exc.lineno)
-        return parse_edge_list(text)
+        return parse_edge_list(text, check_order)
     raise ParseError("empty input", 1)
 
 

@@ -4,13 +4,15 @@ Eigenvalues come from LAPACK (numpy.linalg.eigh) on the floating image
 of the matrix, which delivers the full spectrum with orthonormal
 eigenvectors; they serve as hints and displayed values.  Exact claims
 such as "-2 is the smallest eigenvalue" never rest on floating point.
-All exact work runs fraction-free over integers on s A, with s the lcm
-of the entries' denominators, through rationals.bareiss_step: r is an
-eigenvalue when the rank of s (A - rI), from forward elimination, is
-below n, and r is the smallest one when a single LDL^T finds s (A - rI)
-positive semidefinite and singular.  Only kernel vectors, which the
-decomposition certificates read, need the full Gauss-Jordan
-rational_nullspace.
+All exact work runs over integers on s A, with s the lcm of the entries'
+denominators.  r is an eigenvalue when some integer vector w != 0 has
+s A w = s r w: the floats propose w, the echelon vector of the LAPACK
+eigenvectors near r scaled to integers, and one sparse integer product
+checks it.  Only when no vector checks does the rank of s (A - rI), from
+fraction-free forward elimination (rationals.bareiss_step), decide.  r
+is the smallest eigenvalue when a single LDL^T finds s (A - rI) positive
+semidefinite and singular.  Only kernel vectors, which the decomposition
+certificates read, need the full Gauss-Jordan rational_nullspace.
 """
 
 from __future__ import annotations
@@ -197,30 +199,137 @@ def psd_check_exact(mat) -> bool:
     return _psd_rank(a) is not None
 
 
-def _singular_at(a, k) -> bool:
-    """Is the square integer matrix a - kI singular?  a is left as it is."""
+def _integer_image(a) -> tuple[list[list[tuple[int, int]]], int]:
+    """(s A as sparse integer rows, s) for a graph value or a square matrix.
 
-    b = [row[:] for row in a]
-    for i, row in enumerate(b):
-        row[i] -= k
+    s is the lcm of the entries' denominators and row i lists the pairs
+    (j, s a_ij) with a_ij != 0.  A graph is read from its weights, so no
+    dense matrix is built.
+    """
+
+    if isinstance(a, (SimpleGraph, Multigraph, WeightedGraph)):
+        h = as_weighted(a)
+        s = lcm(*(w.denominator for w in h.weights.values()))
+        rows = [[] for _ in range(h.n)]
+        for (u, v), w in h.weights.items():
+            x = w.numerator * (s // w.denominator)
+            rows[u].append((v, x))
+            if u != v:
+                rows[v].append((u, x))
+        return rows, s
+    if any(len(row) != len(a) for row in a):
+        raise ValueError("matrix must be square")
+    ints, s = _integer_matrix(a)
+    return [[(j, x) for j, x in enumerate(row) if x] for row in ints], s
+
+
+def _singular_at(rows, k) -> bool:
+    """Is the square integer matrix (sparse rows) minus kI singular?  Forward rank."""
+
+    b = [[0] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        for j, x in row:
+            b[i][j] = x
+        b[i][i] -= k
     return len(bareiss_eliminate(b, jordan=False)[0]) < len(b)
 
 
-def is_exact_eigenvalue(mat, r) -> bool:
-    """Exact membership test: is the rational r an eigenvalue of the matrix?
+def _echelon(v: np.ndarray) -> np.ndarray:
+    """The echelon basis of the column span of v (n x c).
 
-    r is one exactly when t (A - rI) is singular, with t the lcm of the
-    denominators of A and r: an integer matrix whose rank comes from
-    fraction-free forward elimination.
+    Gauss-Jordan with complete pivoting on v^T: row i of the result holds
+    1 at its pivot and 0 at the other pivots, which fixes it within the
+    span, so it is rational when the span is a rational subspace.  Rows
+    left below 1e-8 after elimination are dependent and dropped.
     """
 
-    a, s = _integer_matrix(mat)
-    if any(len(row) != len(a) for row in a):
-        raise ValueError("matrix must be square")
+    m = v.T.copy()
+    pivots = []
+    for i in range(len(m)):
+        rest = np.abs(m[i:])
+        r, c = divmod(int(rest.argmax()), m.shape[1])
+        if rest[r, c] < 1e-8:
+            m = m[:i]
+            break
+        if r:
+            m[[i, i + r]] = m[[i + r, i]]
+        m[i] /= m[i, c]
+        col = m[:, c].copy()
+        col[i] = 0
+        m -= col[:, None] * m[i]
+        pivots.append(c)
+    m[:, pivots] = np.eye(len(m))
+    return m
+
+
+def _integer_vector(w: np.ndarray) -> list[int] | None:
+    """d w as integers, for the smallest d <= 2^20 that makes d w integral within 1e-7.
+
+    Each pass multiplies d by the denominator of the entry furthest from
+    an integer (continued fractions, Fraction.limit_denominator), so d
+    is the lcm of the entries' denominators; None when no d <= 2^20 works.
+    """
+
+    d = 1
+    while True:
+        y = w * d
+        off = np.abs(y - np.rint(y))
+        i = int(np.argmax(off))
+        if off[i] < 1e-7:
+            return [int(x) for x in np.rint(y)]
+        q = Q(float(y[i])).limit_denominator(2**20 // d).denominator
+        if q == 1:
+            return None
+        d *= q
+
+
+def _is_eigenvector(rows, k, w) -> bool:
+    """Does the nonzero integer vector w satisfy (rows) w = k w exactly?"""
+
+    return any(w) and all(
+        sum(x * w[j] for j, x in row) == k * wi for row, wi in zip(rows, w)
+    )
+
+
+def _is_eigenvalue(rows, k, vectors: np.ndarray) -> bool:
+    """Is the integer k an eigenvalue of the integer matrix given by sparse rows?
+
+    vectors (n x c) are the float eigenvectors that LAPACK computed near
+    the eigenvalue k.  First step: each echelon vector of their span
+    (_echelon), scaled to integers (_integer_vector), is tried, and one
+    that passes _is_eigenvector proves k.  Second step, only when none
+    passes: the forward rank of rows - kI (_singular_at) decides.
+    """
+
+    for w in _echelon(vectors):
+        v = _integer_vector(w)
+        if v is not None and _is_eigenvector(rows, k, v):
+            return True
+    return _singular_at(rows, k)
+
+
+def _near(spec: Spectrum, r) -> np.ndarray:
+    """The eigenvectors of spec whose eigenvalues lie within 1e-8 of r."""
+
+    return spec.vectors[:, np.abs(spec.values - float(r)) < 1e-8]
+
+
+def is_exact_eigenvalue(mat, r) -> bool:
+    """Exact membership test: is the rational r an eigenvalue of the symmetric matrix?
+
+    With t the lcm of the denominators of A and r, r is one exactly when
+    t A w = t r w for an integer vector w != 0.  The LAPACK eigenvectors
+    for eigenvalues within 1e-8 of r propose w (_is_eigenvalue); when none
+    is certified, the rank of t (A - rI) from fraction-free forward
+    elimination decides.
+    """
+
+    rows, s = _integer_image(mat)
+    spec = spectrum(mat)
     r = as_q(r)
     t = lcm(s, r.denominator)
-    a = [[x * (t // s) for x in row] for row in a]
-    return _singular_at(a, r.numerator * (t // r.denominator))
+    rows = [[(j, x * (t // s)) for j, x in row] for row in rows]
+    return _is_eigenvalue(rows, r.numerator * (t // r.denominator), _near(spec, r))
 
 
 def lambda_min_exact(mat, hint: float | None = None):
@@ -248,22 +357,24 @@ def lambda_min_exact(mat, hint: float | None = None):
     return None
 
 
-def verified_integer_eigenvalues(mat, values=None) -> list[int]:
-    """Integers that are certified (by exact elimination) to be eigenvalues.
+def verified_integer_eigenvalues(a, spec: Spectrum | None = None) -> list[int]:
+    """Integers that are certified exactly to be eigenvalues of a graph or matrix.
 
-    Each integer within 1e-8 of a LAPACK eigenvalue is a candidate r, and
-    is kept when s (A - rI) is singular (_singular_at), with the integer
-    image s A built once.  values, when given, are the float eigenvalues
-    of the matrix, which spares a second LAPACK call; like the hint of
-    lambda_min_exact they only choose the candidates.
+    Each integer r within 1e-8 of a LAPACK eigenvalue is a candidate.  The
+    integer image s A is built once, as sparse rows, and r is kept when an
+    echelon vector of the eigenvectors near r, scaled to integers, passes
+    s A w = s r w in integers; only when no vector passes does the forward
+    rank of s (A - rI) decide (_is_eigenvalue).  spec, when given, is the
+    Spectrum of the same graph or matrix, which spares a second LAPACK
+    call; like the hint of lambda_min_exact its floats only propose.
     """
 
-    if values is None:
-        values = spectrum(mat).values
-    a, s = _integer_matrix(mat)
+    if spec is None:
+        spec = spectrum(a)
+    rows, s = _integer_image(a)
     out = []
-    for r in sorted({round(float(v)) for v in values}):
-        if any(abs(float(v) - r) < 1e-8 for v in values):
-            if _singular_at(a, s * r):
-                out.append(int(r))
+    for r in sorted({round(float(v)) for v in spec.values}):
+        near = _near(spec, r)
+        if near.shape[1] and _is_eigenvalue(rows, s * r, near):
+            out.append(r)
     return out

@@ -301,6 +301,31 @@ def test_eigensolver_cap_is_checked_before_the_matrix_is_built(capsys, monkeypat
     assert peak < 10 * 2**20
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"fmt": 1, "type": "simple", "n": 1000000, "edges": []}',
+        "1000000 0\n",
+        "1000000 1\n0 1000000\n",  # a malformed body above the cap is never read
+    ],
+    ids=["json", "edge-list", "malformed-body"],
+)
+def test_spectrum_skips_from_the_declared_order(capsys, monkeypatch, text):
+    # the graph of 10^6 vertices is never built: its rows alone would take 15 MiB
+    import io
+    import tracemalloc
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    tracemalloc.start()
+    try:
+        result = run(capsys, "spectrum", "-")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (0, "spectrum skipped [n = 1000000 exceeds the cap n <= 2048]\n", "")
+    assert peak < 2**20
+
+
 def test_lambda_star_k_tests_for_an_edge_before_its_cap(tmp_path, capsys):
     path = tmp_path / "edgeless.txt"
     path.write_text("30 0\n")

@@ -1,8 +1,10 @@
 """File format round trips and error reporting."""
 
 import json
+from fractions import Fraction
 
 import pytest
+from networkx.generators.atlas import graph_atlas_g
 
 from spectral_lb.catalog import cycle, petersen
 from spectral_lb.decomp import CliquePartition
@@ -17,7 +19,15 @@ from spectral_lb.graph_io import (
     partition_from_json,
     require_simple,
 )
-from spectral_lb.graphs import build_multigraph, build_weighted, Multigraph, SimpleGraph, WeightedGraph
+from spectral_lb.graphs import (
+    Multigraph,
+    SimpleGraph,
+    WeightedGraph,
+    as_weighted,
+    build_multigraph,
+    build_simple,
+    build_weighted,
+)
 from spectral_lb.rationals import Q, format_q
 
 
@@ -202,3 +212,34 @@ def test_certificate_documents():
     res_c = lambda_star_C(cycle(5))
     doc_c = certificate_to_json(res_c)
     assert doc_c["value"] == "-2" and "pieces" in doc_c
+
+
+def _parsed_weights(text):
+    h = parse_edge_list(text)
+    assert all(type(w) is Fraction for w in h.weights.values())
+    return h.weights
+
+
+def test_edge_list_sums_repeated_pairs_exactly():
+    # repeated edges in either orientation add up
+    assert _parsed_weights("3 4\n0 1\n1 0\n0 1\n2 1\n") == {(0, 1): 3, (1, 2): 1}
+    # int and p/q weights on one pair, and a decimal field as before
+    assert _parsed_weights("2 4\n0 1 2\n1 0 1/2\n0 1 -1/3\n0 1 0.5\n") == {(0, 1): Q(8, 3)}
+    # loops accumulate on (u, u)
+    assert _parsed_weights("2 3\n1 1 2\n1 1 -1/2\n1 1\n") == {(1, 1): Q(5, 2)}
+    # weights that sum to zero leave no pair behind, in ints and in p/q
+    assert _parsed_weights("3 5\n0 1 2\n1 0 -2\n1 2 1/2\n2 1 -1/2\n2 2 1/3\n") == {(2, 2): Q(1, 3)}
+    assert _parsed_weights("2 2\n0 1\n0 1 -1\n") == {}
+
+
+def test_edge_list_roundtrip_keeps_the_weights():
+    graphs = [build_simple(g.number_of_nodes(), list(g.edges())) for g in graph_atlas_g()]
+    graphs += [
+        cycle(5),
+        build_multigraph(3, {(0, 1): 2, (1, 1): 1}),
+        build_weighted(3, {(0, 1): Q(-1, 3), (2, 2): Q(5)}, labels=["a", "b", "c"]),
+        build_weighted(3, {(1, 2): Q(-1, 3), (0, 0): Q(5, 2), (0, 1): Q(1)}),
+        build_weighted(4, {(0, 1): Q(7, 6), (1, 2): Q(-4), (2, 3): Q(3, 8), (3, 3): Q(-1, 2)}),
+    ]
+    for g in graphs:
+        assert parse_edge_list(format_edge_list(g)).weights == as_weighted(g).weights

@@ -424,3 +424,112 @@ def test_verified_integer_eigenvalues_on_parsed_johnson():
     a = g.adjacency(dtype=object)
     assert any(type(x) is Fraction for row in a for x in row)
     assert verified_integer_eigenvalues(a) == [-2, 2, 8]
+
+
+# ---------------------------------------------------------------------------
+# integer eigenvalues: eigenvector certificate first, forward rank second
+
+from spectral_lb import spectra
+from spectral_lb.spectra import Spectrum, _echelon, _integer_image, _integer_vector, _is_eigenvector
+
+_weight = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def _weighted_graphs(draw):
+    # loops, p/q weights, and isolated vertices that give integer eigenvalues of high multiplicity
+    n = draw(st.integers(1, 30))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex, _weight), max_size=2 * n))
+    return build_weighted(n, {(min(u, v), max(u, v)): w for u, v, w in pairs})
+
+
+@st.composite
+def _integer_symmetric(draw):
+    # G^T G - rI has the eigenvalue -r whenever G has fewer rows than columns
+    n = draw(st.integers(1, 8))
+    g = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), max_size=n))
+    noise = draw(st.lists(st.integers(-1, 1), min_size=n * n, max_size=n * n))
+    mat = _shifted(_gram(g, n), draw(st.integers(-3, 3)))
+    if draw(st.booleans()):
+        mat = [[x + noise[i * n + j] + noise[j * n + i] for j, x in enumerate(row)] for i, row in enumerate(mat)]
+    return [[int(x) for x in row] for row in mat]
+
+
+def _bareiss_only(mat, values):
+    """The candidates of verified_integer_eigenvalues, each decided by forward rank alone."""
+
+    ints = {round(float(v)) for v in values if abs(float(v) - round(float(v))) < 1e-8}
+    return sorted(r for r in ints if rational_rank(_shifted(mat, r)) < len(mat))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_weighted_graphs())
+def test_verified_integer_eigenvalues_match_bareiss_on_weighted_graphs(g):
+    spec = spectrum(g)
+    want = _bareiss_only(g.adjacency_q(), spec.values)
+    assert verified_integer_eigenvalues(g, spec) == want
+    assert verified_integer_eigenvalues(g.adjacency_q()) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(_integer_symmetric())
+def test_verified_integer_eigenvalues_match_bareiss_on_integer_matrices(mat):
+    assert verified_integer_eigenvalues(mat) == _bareiss_only(mat, spectrum(mat).values)
+
+
+def _count_rank_calls(monkeypatch):
+    calls = []
+    singular_at = spectra._singular_at
+
+    def counted(rows, k):
+        calls.append(k)
+        return singular_at(rows, k)
+
+    monkeypatch.setattr(spectra, "_singular_at", counted)
+    return calls
+
+
+def test_integer_eigenvalues_of_every_graph_kind_need_no_rank(monkeypatch):
+    calls = _count_rank_calls(monkeypatch)
+    pet = petersen()
+    for a in (pet, pet.adjacency(dtype=object), build_weighted(10, {e: Q(1) for e in pet.edges()})):
+        assert verified_integer_eigenvalues(a) == [-2, 1, 3]
+    assert verified_integer_eigenvalues(power_multigraph(cycle(4), 2)) == [0, 4]
+    assert calls == []
+
+
+def test_eigenvector_with_one_entry_changed_is_rejected():
+    pet = petersen()
+    rows, s = _integer_image(pet)
+    spec = spectrum(pet)
+    for r in (-2, 1, 3):
+        w = _integer_vector(_echelon(spec.vectors[:, np.abs(spec.values - r) < 1e-8])[0])
+        assert _is_eigenvector(rows, s * r, w)
+        for i in range(len(w)):
+            bad = list(w)
+            bad[i] += 1
+            assert not _is_eigenvector(rows, s * r, bad)
+    assert not _is_eigenvector(rows, 0, [0] * 10)  # the zero vector proves nothing
+
+
+def test_doctored_value_is_excluded(monkeypatch):
+    # the Perron value 3 offered as 2: the all-ones vector fails, and the rank excludes 2
+    calls = _count_rank_calls(monkeypatch)
+    spec = spectrum(petersen())
+    values = spec.values.copy()
+    values[-1] = 2.0
+    doctored = Spectrum(values, spec.vectors, spec.residual)
+    assert verified_integer_eigenvalues(petersen(), doctored) == [-2, 1]
+    assert calls == [2]
+
+
+def test_eigenvectors_without_a_certificate_fall_back_to_the_rank(monkeypatch):
+    calls = _count_rank_calls(monkeypatch)
+    spec = spectrum(johnson(6, 2))
+    rotated, _ = np.linalg.qr(np.random.default_rng(7).standard_normal(spec.vectors.shape))
+    doctored = Spectrum(spec.values, rotated, spec.residual)
+    assert verified_integer_eigenvalues(johnson(6, 2), doctored) == [-2, 2, 8]
+    assert calls == [-2, 2, 8]
+    assert is_exact_eigenvalue(johnson(6, 2).adjacency(dtype=object), Q(2))
+    assert calls == [-2, 2, 8]
