@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import deque
+from functools import cache
 
 import numpy as np
 
@@ -213,10 +214,13 @@ def build_weighted(n: int, weights, labels=None) -> WeightedGraph:
     """Weighted graph from a {pair: rational} mapping; zero weights are pruned."""
 
     out = {}
+    # one Fraction per distinct weight; the type is part of the key so that
+    # a float 1.0 is still refused after an int 1
+    exact = cache(lambda key: as_q(key[1]))
     for (u, v), w in dict(weights).items():
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"endpoint out of range: ({u}, {v})")
-        w = as_q(w)
+        w = exact((type(w), w))
         if w != 0:
             out[_pair(u, v)] = w
     if labels is not None:

@@ -2,13 +2,17 @@
 
 import math
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from networkx.generators.atlas import graph_atlas_g
 
 from corpus import connected_atlas, random_connected_graph
 from spectral_lb.bounds import (
+    MAX_BETA_ORDER,
     alon_sudakov_lower,
     aab_lower,
     bipartiteness_ratio,
@@ -155,6 +159,40 @@ def _relabelled(g, seed):
     return build_simple(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
+def _beta_dfs(g):
+    """Reference beta: depth-first out / L / R assignment with a volume prune.
+
+    A branch at vertex v carries the numerator num and the volume vol of S
+    so far; num never decreases and vol grows by at most rest[v], the degree
+    sum of v..n-1, so the branch is cut once num / (vol + rest[v]) reaches
+    the incumbent.  The first vertex of S goes to L only.
+    """
+
+    n, rows, degs = g.n, g.rows, g.degrees()
+    rest = [0] * (n + 1)
+    for v in range(n - 1, -1, -1):
+        rest[v] = rest[v + 1] + degs[v]
+    best = [1, 0]  # num, den: +infinity
+
+    def walk(v, mask_l, mask_r, mask_out, num, vol):
+        if best[1] and num * best[1] >= best[0] * (vol + rest[v]):
+            return
+        if v == n:
+            if vol:
+                best[:] = num, vol
+            return
+        row, bit, deg = rows[v], 1 << v, degs[v]
+        walk(v + 1, mask_l, mask_r, mask_out | bit, num + (row & (mask_l | mask_r)).bit_count(), vol)
+        walk(v + 1, mask_l | bit, mask_r, mask_out,
+             num + 2 * (row & mask_l).bit_count() + (row & mask_out).bit_count(), vol + deg)
+        if mask_l:
+            walk(v + 1, mask_l, mask_r | bit, mask_out,
+                 num + 2 * (row & mask_r).bit_count() + (row & mask_out).bit_count(), vol + deg)
+
+    walk(0, 0, 0, 0, 0, 0)
+    return Q(*best)
+
+
 def test_bipartiteness_ratio_matches_brute():
     # every graph on 1-6 vertices with an edge, disconnected ones included
     count = 0
@@ -167,6 +205,59 @@ def test_bipartiteness_ratio_matches_brute():
         assert _witness_ratio(g, wit) == wit.ratio
         count += 1
     assert count == 202
+
+
+def test_bipartiteness_ratio_matches_the_dfs_on_the_atlas():
+    # every graph on 1-7 vertices with an edge
+    count = 0
+    for h in graph_atlas_g():
+        if not h.number_of_edges():
+            continue
+        g = build_simple(h.number_of_nodes(), list(h.edges()))
+        wit = bipartiteness_ratio(g)
+        assert wit.ratio == _beta_dfs(g), list(h.edges())
+        assert _witness_ratio(g, wit) == wit.ratio
+        count += 1
+    assert count == 1245
+
+
+@st.composite
+def _beta_cases(draw):
+    """(graph with an edge, whether it is bipartite by construction, a relabelling).
+
+    Part 2 holds isolated vertices; a bipartite draw keeps only the edges
+    between parts 0 and 1.
+    """
+
+    n = draw(st.integers(2, 12))
+    part = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    bipartite = draw(st.booleans())
+    pairs = [
+        (u, v)
+        for u, v in combinations(range(n), 2)
+        if 2 not in (part[u], part[v]) and not (bipartite and part[u] == part[v])
+    ]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, k in zip(pairs, keep) if k]
+    assume(edges)
+    return build_simple(n, edges), bipartite, draw(st.permutations(range(n)))
+
+
+@given(_beta_cases())
+@example((build_simple(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), False, list(range(6, -1, -1))))
+@example((build_simple(12, [(0, 11)]), True, list(range(12))))
+@settings(max_examples=100, deadline=None)
+def test_bipartiteness_ratio_matches_the_dfs_under_relabelling(case):
+    g, bipartite, perm = case
+    wit = bipartiteness_ratio(g)
+    assert wit.ratio == _beta_dfs(g)
+    assert _witness_ratio(g, wit) == wit.ratio
+    if bipartite:
+        assert wit.ratio == 0
+    h = build_simple(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    wit_h = bipartiteness_ratio(h)
+    assert wit_h.ratio == wit.ratio
+    assert _witness_ratio(h, wit_h) == wit.ratio
 
 
 @pytest.mark.parametrize(
@@ -186,6 +277,18 @@ def test_bipartiteness_ratio_at_the_cap(g, beta):
         wit = bipartiteness_ratio(h)
         assert wit.ratio == beta
         assert _witness_ratio(h, wit) == beta
+
+
+@pytest.mark.parametrize("g", [prism(7), circulant(14, 3)], ids=["prism(7)", "circulant(14,3)"])
+def test_bipartiteness_ratio_memory_at_the_cap(g):
+    assert g.n == MAX_BETA_ORDER
+    tracemalloc.start()
+    try:
+        bipartiteness_ratio(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_bipartiteness_known_values():

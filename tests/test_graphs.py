@@ -325,3 +325,14 @@ def test_weighted_adjacency_exact():
     assert aq[0][1] == Q(1, 3) and aq[1][0] == Q(1, 3) and aq[2][2] == Q(-2)
     a = h.adjacency()
     assert np.allclose(a, a.T)
+
+
+def test_build_weighted_converts_each_weight_by_its_type():
+    h = build_weighted(4, {(0, 1): 1, (1, 2): 1, (2, 3): "1/2", (0, 3): Q(1, 2), (0, 2): 0})
+    assert h.weights == {(0, 1): Q(1), (1, 2): Q(1), (2, 3): Q(1, 2), (0, 3): Q(1, 2)}
+    assert all(type(w) is Q for w in h.weights.values())
+    # a float equal to a weight already seen as an int is still refused
+    with pytest.raises(TypeError):
+        build_weighted(3, {(0, 1): 1, (1, 2): 1.0})
+    with pytest.raises(TypeError):
+        build_weighted(3, {(0, 1): Q(1), (1, 2): 1.0})
