@@ -347,8 +347,7 @@ def cubic_clawfree_check(g: SimpleGraph) -> ClawfreeCubicReport:
         triangle_bound = clique_partition_bound(part, g)
         if triangle_bound != Q(-2):
             raise CertificateError("triangle/edge partition should give exactly -2")
-        shifted = [[2 * (u == v) + g.has_edge(u, v) for v in range(g.n)] for u in range(g.n)]
-        if not psd_check_exact(shifted):
+        if not psd_check_exact(g, -2):
             raise CertificateError("lambda must be at least -2 here")
     return ClawfreeCubicReport(lam, theta, tuple(kinds), diamonds, middles, triangle_bound)
 
@@ -400,19 +399,20 @@ def product_tightness(g1: SimpleGraph, k1: CliquePartition, g2: SimpleGraph, k2:
         _, r, _ = clique_partition_stats(k, g)
         if Q(r, k.mu) != Q(d, c - 1):
             raise ValueError("supplied partition does not attain -k/(c-1)")
-        if lambda_min_exact(g.adjacency(dtype=object), hint=lambda_min(g)) != Q(-d, c - 1):
+        if lambda_min_exact(g) != Q(-d, c - 1):
             raise ValueError("supplied certificate does not match lambda(G_i)")
     prod = direct_product(g1, g2)
     validate_partition(part, prod)
     expected = Q(-d1 * d2, c1 - 1)
-    lam = lambda_min(prod)
+    spec = spectrum(prod)
+    lam = spec.lambda_min
     report = {
         "expected": expected,
         "lambda": lam,
         "partition_bound": clique_partition_bound(part, prod),
         "mu": part.mu,
     }
-    if lambda_min_exact(prod.adjacency(dtype=object), hint=lam) != expected:
+    if lambda_min_exact(prod, spec) != expected:
         raise CertificateError("product eigenvalue does not match -k1 k2/(c1-1)")
     try:
         report["lambda_star_K"] = lambda_star_K(prod).value

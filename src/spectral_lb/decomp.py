@@ -151,9 +151,9 @@ def complete_lambda(kind: str, s: int, a):
 def piece_lambda(h):
     """Smallest eigenvalue of a piece: a Fraction when certified, else a float.
 
-    Scaled I/J/K pieces have closed forms; any other piece hands the
-    eigensolver's minimum to lambda_min_exact as the hint, which certifies
-    the one rational candidate k/s (s the lcm of the weights'
+    Scaled I/J/K pieces have closed forms; any other piece hands its
+    spectrum to lambda_min_exact, which certifies the one rational
+    candidate k/s near its minimum (s the lcm of the weights'
     denominators) or leaves an irrational minimum as the float.
     """
 
@@ -164,9 +164,9 @@ def piece_lambda(h):
     if shape is not None:
         kind, c = shape
         return c if kind == "I" else complete_lambda(kind, h.n, c)
-    lam = spectrum(h.adjacency(dtype=float)).lambda_min
-    exact = lambda_min_exact(h.adjacency_q(), hint=lam)
-    return lam if exact is None else exact
+    spec = spectrum(h)
+    exact = lambda_min_exact(h, spec)
+    return spec.lambda_min if exact is None else exact
 
 
 @dataclass(frozen=True)
@@ -224,10 +224,7 @@ def equality_certificate(d: Decomposition) -> tuple | None:
     lambdas, table = _vertex_table(d)
     lam_d = min(table)
     if is_rational(lam_d):
-        a = d.target.adjacency_q()
-        for u in range(n):
-            a[u][u] -= lam_d
-        kernel = rational_nullspace(a)
+        kernel = rational_nullspace(d.target, lam_d)
         if not kernel:
             return None
         x = kernel[0]
@@ -398,15 +395,14 @@ def clique_equality_certificate(k: CliquePartition, g: SimpleGraph):
 
     With N the vertex-clique incidence matrix, mu A(G) + rI equals
     N N^T + diag(r - r_u), a sum of PSD matrices, so its kernel is exactly
-    {x : N^T x = 0, x_u = 0 where r_u < r}; x is its first kernel vector.
+    {x : N^T x = 0, x_u = 0 where r_u < r}; x is its first kernel vector,
+    the kernel of A(G) + (r/mu) I.
     """
 
     _, r, _ = clique_partition_stats(k, g)
     if not k.cliques:
         return None
-    n = g.n
-    m = [[r if u == v else k.mu * g.has_edge(u, v) for v in range(n)] for u in range(n)]
-    kernel = rational_nullspace(m)
+    kernel = rational_nullspace(g, Q(-r, k.mu))
     return tuple(kernel[0]) if kernel else None
 
 

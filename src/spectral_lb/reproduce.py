@@ -228,7 +228,7 @@ def _rows_petersen(perturb):
     rows.append(
         ReproRow(e, "spectrum {-2^4, 1^5, 3}", "0", _fmt(diff), diff, 1e-9, diff <= 1e-9, "eigensolver")
     )
-    exact = lambda_min_exact(g.adjacency(dtype=object))
+    exact = lambda_min_exact(g)
     rows.append(_row(e, "lambda = -2 (exact)", Q(-2), exact, provenance="exact certificate"))
     try:
         d3 = cube_decomposition(g, 3, 2, 0)
@@ -250,11 +250,7 @@ def _rows_petersen(perturb):
     except Exception:
         ok = False
     rows.append(_row(e, "cube multiplicity d(u)+d(v)-1 on edges", True, ok, provenance="walk counting"))
-    shifted = [
-        [(2 if i == j else 0) + (1 if g.has_edge(i, j) else 0) for j in range(g.n)]
-        for i in range(g.n)
-    ]
-    rows.append(_row(e, "A + 2I psd", True, psd_check_exact(shifted), provenance="rational LDL^T"))
+    rows.append(_row(e, "A + 2I psd", True, psd_check_exact(g, -2), provenance="rational LDL^T"))
     return rows
 
 

@@ -4,15 +4,25 @@ Eigenvalues come from LAPACK (numpy.linalg.eigh) on the floating image
 of the matrix, which delivers the full spectrum with orthonormal
 eigenvectors; they serve as hints and displayed values.  Exact claims
 such as "-2 is the smallest eigenvalue" never rest on floating point.
-All exact work runs over integers on s A, with s the lcm of the entries'
-denominators.  r is an eigenvalue when some integer vector w != 0 has
-s A w = s r w: the floats propose w, the echelon vector of the LAPACK
-eigenvectors near r scaled to integers, and one sparse integer product
-checks it.  Only when no vector checks does the rank of s (A - rI), from
-fraction-free forward elimination (rationals.bareiss_step), decide.  r
-is the smallest eigenvalue when a single LDL^T finds s (A - rI) positive
-semidefinite and singular.  Only kernel vectors, which the decomposition
-certificates read, need the full Gauss-Jordan rational_nullspace.
+
+Every exact question is one about A - rI, for A a graph value or a
+symmetric rational matrix and r a rational, and there are four entries:
+
+* psd_check_exact(a, r): is A - rI positive semidefinite, so that every
+  eigenvalue is at least r?  One LDL^T.
+* rational_nullspace(a, r): a basis of the kernel of A - rI, the vectors
+  that equality certificates read.  Fraction-free Gauss-Jordan.
+* lambda_min_exact(a, spec): the smallest eigenvalue as a rational, or
+  None when it is irrational.  One LDL^T at the one rational candidate
+  near the minimum of the spectrum.
+* verified_integer_eigenvalues(a, spec): which integers are eigenvalues?
+  An integer eigenvector first, the forward rank of A - rI second.
+
+A reaches exact arithmetic in one place: _integer_image reads it, from
+a graph's weights or a matrix checked square and exactly symmetric, as
+s A in sparse integer rows, with s the lcm of the entries' denominators,
+and _shifted turns those rows into the dense integer rows of s A - kI
+that every elimination (rationals.bareiss_step) runs on.
 """
 
 from __future__ import annotations
@@ -31,7 +41,6 @@ from .rationals import (
     bareiss_step,
     denom,
     denominator_lcm,
-    integer_row,
     numer,
 )
 
@@ -110,54 +119,61 @@ def lambda_max(g) -> float:
 # exact rational linear algebra
 
 
-def _integer_matrix(mat) -> tuple[list[list[int]], int]:
-    """(s * mat as integer rows, s) with s the lcm of all the entries' denominators."""
-
-    s = denominator_lcm(x for row in mat for x in row)
-    return [[numer(x) * (s // denom(x)) for x in row] for row in mat], s
-
-
-def rational_nullspace(mat) -> list[list]:
-    """Exact basis of the kernel of a rational matrix via Gaussian elimination.
-
-    Returns a (possibly empty) list of rational vectors; the basis vectors
-    carry a 1 in their free coordinate, so the result is deterministic.
-    Rows are scaled to integers and reduced by fraction-free Gauss-Jordan
-    (bareiss_eliminate), which leaves every pivot entry equal to the last
-    pivot p, so the reduced row echelon form is the result over p.
-    Callers that only need to know whether the kernel is trivial use
-    rational_rank instead.
-    """
-
-    a = [integer_row(row)[0] for row in mat]
-    ncols = len(a[0]) if a else 0
-    pivots, prev = bareiss_eliminate(a)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        vec = [QZERO] * ncols
-        vec[fc] = Q(1)
-        for c, pr in pivots.items():
-            vec[c] = Q(-a[pr][fc], prev)
-        basis.append(vec)
-    return basis
-
-
-def rational_rank(mat) -> int:
-    """Rank of a rational matrix, each row scaled to integers, by forward elimination."""
-
-    return len(bareiss_eliminate([integer_row(row)[0] for row in mat], jordan=False)[0])
-
-
 def _require_symmetric(a) -> None:
     n = len(a)
-    for i, row in enumerate(a):
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-        for j in range(i + 1, n):
-            if row[j] != a[j][i]:
-                raise ValueError("matrix is not symmetric")
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix must be square")
+    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i + 1, n)):
+        raise ValueError("matrix is not symmetric")
+
+
+def _integer_image(a) -> tuple[list[list[tuple[int, int]]], int]:
+    """(s A as sparse integer rows, s) for a graph value or a symmetric rational matrix.
+
+    s is the lcm of the entries' denominators and row i lists the pairs
+    (j, s a_ij) with a_ij != 0.  A graph is read from its weights, so no
+    dense matrix is built; a matrix must be square and exactly symmetric,
+    and a float entry raises TypeError.
+    """
+
+    if isinstance(a, (SimpleGraph, Multigraph, WeightedGraph)):
+        h = as_weighted(a)
+        s = lcm(*(w.denominator for w in h.weights.values()))
+        rows = [[] for _ in range(h.n)]
+        for (u, v), w in h.weights.items():
+            x = w.numerator * (s // w.denominator)
+            rows[u].append((v, x))
+            if u != v:
+                rows[v].append((u, x))
+        return rows, s
+    _require_symmetric(a)
+    s = denominator_lcm(x for row in a for x in row)
+    return [[(j, numer(x) * (s // denom(x))) for j, x in enumerate(row) if x] for row in a], s
+
+
+def _shifted(rows, k) -> list[list[int]]:
+    """The dense integer rows of the square matrix given by sparse rows, minus kI."""
+
+    b = [[0] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        for j, x in row:
+            b[i][j] = x
+        b[i][i] -= k
+    return b
+
+
+def _integer_shift(a, r) -> list[list[int]]:
+    """t (A - rI) as dense integer rows, with t the lcm of the denominators of A and r.
+
+    A positive multiple of A - rI has its inertia and its kernel.  A float
+    r raises TypeError (rationals.as_q).
+    """
+
+    rows, s = _integer_image(a)
+    r = as_q(r)
+    t = lcm(s, r.denominator)
+    f = t // s
+    return _shifted([[(j, x * f) for j, x in row] for row in rows], r.numerator * (t // r.denominator))
 
 
 def _psd_rank(a) -> int | None:
@@ -191,47 +207,45 @@ def _psd_rank(a) -> int | None:
     return len(a)
 
 
-def psd_check_exact(mat) -> bool:
-    """Exact rational PSD decision: an LDL^T of the matrix scaled to integers (_psd_rank)."""
+def psd_check_exact(a, r) -> bool:
+    """Is A - rI positive semidefinite, i.e. is every eigenvalue of the graph or matrix A at least r?
 
-    a, _ = _integer_matrix(mat)
-    _require_symmetric(a)
-    return _psd_rank(a) is not None
-
-
-def _integer_image(a) -> tuple[list[list[tuple[int, int]]], int]:
-    """(s A as sparse integer rows, s) for a graph value or a square matrix.
-
-    s is the lcm of the entries' denominators and row i lists the pairs
-    (j, s a_ij) with a_ij != 0.  A graph is read from its weights, so no
-    dense matrix is built.
+    One LDL^T (_psd_rank) of t (A - rI) in integers (_integer_shift).
     """
 
-    if isinstance(a, (SimpleGraph, Multigraph, WeightedGraph)):
-        h = as_weighted(a)
-        s = lcm(*(w.denominator for w in h.weights.values()))
-        rows = [[] for _ in range(h.n)]
-        for (u, v), w in h.weights.items():
-            x = w.numerator * (s // w.denominator)
-            rows[u].append((v, x))
-            if u != v:
-                rows[v].append((u, x))
-        return rows, s
-    if any(len(row) != len(a) for row in a):
-        raise ValueError("matrix must be square")
-    ints, s = _integer_matrix(a)
-    return [[(j, x) for j, x in enumerate(row) if x] for row in ints], s
+    return _psd_rank(_integer_shift(a, r)) is not None
+
+
+def rational_nullspace(a, r) -> list[list]:
+    """Exact basis of the kernel of A - rI, for a graph value or a symmetric rational matrix A.
+
+    Returns a (possibly empty) list of rational vectors.  Each carries a 1
+    in its free coordinate and 0 in the other free coordinates, so the
+    basis is fixed by the kernel and does not change when the matrix is
+    scaled.  t (A - rI) in integers (_integer_shift) is reduced by
+    fraction-free Gauss-Jordan (bareiss_eliminate), which leaves every
+    pivot entry equal to the last pivot p, so the reduced row echelon form
+    is the result over p.
+    """
+
+    b = _integer_shift(a, r)
+    pivots, prev = bareiss_eliminate(b)
+    basis = []
+    for fc in range(len(b)):
+        if fc in pivots:
+            continue
+        vec = [QZERO] * len(b)
+        vec[fc] = Q(1)
+        for c, pr in pivots.items():
+            vec[c] = Q(-b[pr][fc], prev)
+        basis.append(vec)
+    return basis
 
 
 def _singular_at(rows, k) -> bool:
     """Is the square integer matrix (sparse rows) minus kI singular?  Forward rank."""
 
-    b = [[0] * len(rows) for _ in rows]
-    for i, row in enumerate(rows):
-        for j, x in row:
-            b[i][j] = x
-        b[i][i] -= k
-    return len(bareiss_eliminate(b, jordan=False)[0]) < len(b)
+    return len(bareiss_eliminate(_shifted(rows, k), jordan=False)[0]) < len(rows)
 
 
 def _echelon(v: np.ndarray) -> np.ndarray:
@@ -308,51 +322,26 @@ def _is_eigenvalue(rows, k, vectors: np.ndarray) -> bool:
     return _singular_at(rows, k)
 
 
-def _near(spec: Spectrum, r) -> np.ndarray:
-    """The eigenvectors of spec whose eigenvalues lie within 1e-8 of r."""
-
-    return spec.vectors[:, np.abs(spec.values - float(r)) < 1e-8]
-
-
-def is_exact_eigenvalue(mat, r) -> bool:
-    """Exact membership test: is the rational r an eigenvalue of the symmetric matrix?
-
-    With t the lcm of the denominators of A and r, r is one exactly when
-    t A w = t r w for an integer vector w != 0.  The LAPACK eigenvectors
-    for eigenvalues within 1e-8 of r propose w (_is_eigenvalue); when none
-    is certified, the rank of t (A - rI) from fraction-free forward
-    elimination decides.
-    """
-
-    rows, s = _integer_image(mat)
-    spec = spectrum(mat)
-    r = as_q(r)
-    t = lcm(s, r.denominator)
-    rows = [[(j, x * (t // s)) for j, x in row] for row in rows]
-    return _is_eigenvalue(rows, r.numerator * (t // r.denominator), _near(spec, r))
-
-
-def lambda_min_exact(mat, hint: float | None = None):
-    """Certify the smallest eigenvalue as an exact rational, when it is one.
+def lambda_min_exact(a, spec: Spectrum | None = None):
+    """The smallest eigenvalue of a graph or symmetric rational matrix, exactly, when it is rational.
 
     With s the lcm of the entries' denominators, s A is an integer matrix
     with a monic integer characteristic polynomial, so every rational
     eigenvalue of A is k/s for an integer k.  The one candidate
-    r = round(s * hint)/s wins when s A - kI is PSD and singular, which
-    one LDL^T decides (_psd_rank).  Returns the rational or None (an
-    irrational minimum).  A rational minimum is missed only when the float
-    hint is off by at least 1/(2s), which needs entries of s A near 2^50.
+    r = round(s m)/s, with m the minimum of spec (the spectrum of A,
+    computed here when not given), wins when s A - kI is PSD and
+    singular, which one LDL^T decides (_psd_rank).  Returns the rational
+    or None (an irrational minimum).  A rational minimum is missed only
+    when the float m is off by at least 1/(2s), which needs entries of
+    s A near 2^50.
     """
 
-    a, s = _integer_matrix(mat)
-    _require_symmetric(a)
-    if hint is None:
-        hint = spectrum(mat).lambda_min
-    k = round(s * hint)
-    for i, row in enumerate(a):
-        row[i] -= k
-    rank = _psd_rank(a)
-    if rank is not None and rank < len(a):
+    rows, s = _integer_image(a)
+    if spec is None:
+        spec = spectrum(a)
+    k = round(s * spec.lambda_min)
+    rank = _psd_rank(_shifted(rows, k))
+    if rank is not None and rank < len(rows):
         return Q(k, s)
     return None
 
@@ -362,19 +351,19 @@ def verified_integer_eigenvalues(a, spec: Spectrum | None = None) -> list[int]:
 
     Each integer r within 1e-8 of a LAPACK eigenvalue is a candidate.  The
     integer image s A is built once, as sparse rows, and r is kept when an
-    echelon vector of the eigenvectors near r, scaled to integers, passes
-    s A w = s r w in integers; only when no vector passes does the forward
-    rank of s (A - rI) decide (_is_eigenvalue).  spec, when given, is the
-    Spectrum of the same graph or matrix, which spares a second LAPACK
-    call; like the hint of lambda_min_exact its floats only propose.
+    echelon vector of the eigenvectors within 1e-8 of r, scaled to
+    integers, passes s A w = s r w in integers; only when no vector passes
+    does the forward rank of s (A - rI) decide (_is_eigenvalue).  spec,
+    when given, is the Spectrum of the same graph or matrix, which spares
+    a second LAPACK call; as in lambda_min_exact its floats only propose.
     """
 
+    rows, s = _integer_image(a)
     if spec is None:
         spec = spectrum(a)
-    rows, s = _integer_image(a)
     out = []
     for r in sorted({round(float(v)) for v in spec.values}):
-        near = _near(spec, r)
+        near = spec.vectors[:, np.abs(spec.values - r) < 1e-8]
         if near.shape[1] and _is_eigenvalue(rows, s * r, near):
             out.append(r)
     return out

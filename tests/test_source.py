@@ -90,3 +90,26 @@ def test_cap_wording_is_written_once_in_package():
         if "exceeds the cap" in line
     ]
     assert len(hits) == 1, hits
+
+
+def test_every_definition_is_named_elsewhere_in_package():
+    # code that only tests call belongs in tests/: every module-level function and
+    # class is called, read as an attribute or imported somewhere in src/
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    found = [
+        f"{name[:-3]}.{node.name}"
+        for name, tree in trees.items()
+        if name != "__init__.py"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in named
+    ]
+    assert not found, f"defined in the package but named nowhere else in it: {found}"

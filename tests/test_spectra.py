@@ -15,14 +15,12 @@ from spectral_lb.catalog import (
     petersen,
 )
 from spectral_lb.graphs import bipartition, power_multigraph, build_simple, build_weighted
-from spectral_lb.rationals import Q
+from spectral_lb.rationals import Q, bareiss_eliminate, integer_row
 from spectral_lb.spectra import (
-    is_exact_eigenvalue,
     lambda_min,
     lambda_min_exact,
     psd_check_exact,
     rational_nullspace,
-    rational_rank,
     spectrum,
     verified_integer_eigenvalues,
 )
@@ -166,11 +164,13 @@ def test_empty_graph_rejected():
 
 
 def test_nullspace_identity_and_ones():
-    assert rational_nullspace([[1, 0], [0, 1]]) == []
-    basis = rational_nullspace([[1, 1, 1, 1]])
+    assert rational_nullspace([[1, 0], [0, 1]], 0) == []
+    basis = rational_nullspace([[1] * 4] * 4, 0)
     assert len(basis) == 3
     for vec in basis:
         assert sum(vec) == 0
+    # J_3 / 9 has the eigenvalue 1/3 on the all-ones vector
+    assert rational_nullspace([[Q(1, 9)] * 3] * 3, Q(1, 3)) == [[1, 1, 1]]
 
 
 def test_nullspace_johnson_kernel():
@@ -186,7 +186,7 @@ def test_nullspace_johnson_kernel():
             if x != c:
                 row[index[frozenset((c, x))]] = 1
         rows.append(row)
-    kernel = rational_nullspace(rows)
+    kernel = rational_nullspace(_gram(rows, len(verts)), 0)
     assert len(kernel) == 5
     assert rational_rank(rows) == 5
 
@@ -195,32 +195,24 @@ def test_nullspace_solutions_verify(rng):
     for _ in range(10):
         nr, nc = rng.randint(1, 5), rng.randint(1, 6)
         mat = [[Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(nc)] for _ in range(nr)]
-        for vec in rational_nullspace(mat):
+        for vec in rational_nullspace(_gram(mat, nc), 0):
             for row in mat:
                 assert sum(a * x for a, x in zip(row, vec)) == 0
 
 
 def test_psd_exact():
     pet = petersen()
-    aq = [[(2 if i == j else 0) + (1 if pet.has_edge(i, j) else 0) for j in range(10)] for i in range(10)]
-    assert psd_check_exact(aq)
-    # shifting less than lambda_min leaves an indefinite matrix
-    aq15 = [
-        [(Q(3, 2) if i == j else 0) + (1 if pet.has_edge(i, j) else 0) for j in range(10)]
-        for i in range(10)
-    ]
-    assert not psd_check_exact(aq15)
-    c5 = cycle(5)
-    assert not psd_check_exact([[Q(3, 2) * (i == j) + c5.has_edge(i, j) for j in range(5)] for i in range(5)])
-    assert psd_check_exact([[0, 0], [0, 0]])
-    assert not psd_check_exact([[0, 1], [1, 0]])
+    assert psd_check_exact(pet, -2)
+    assert psd_check_exact(pet.adjacency(dtype=object), -2)
+    # a shift above lambda_min leaves an indefinite matrix
+    assert not psd_check_exact(pet, Q(-3, 2))
+    assert not psd_check_exact(cycle(5), Q(-3, 2))
+    assert psd_check_exact([[0, 0], [0, 0]], 0)
+    assert not psd_check_exact([[0, 1], [1, 0]], 0)
 
 
 def test_exact_eigenvalue_and_integers():
     pet = petersen().adjacency(dtype=object)
-    assert is_exact_eigenvalue(pet, Q(-2))
-    assert is_exact_eigenvalue(pet, Q(1))
-    assert not is_exact_eigenvalue(pet, Q(2))
     assert verified_integer_eigenvalues(pet) == [-2, 1, 3]
     assert lambda_min_exact(pet) == Q(-2)
     # irrational minimum: no certificate
@@ -243,7 +235,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_lb.spectra import psd_check_exact, rational_nullspace
+
+def rational_rank(mat):
+    """Rank of a rational matrix, each row scaled to integers, by forward elimination."""
+
+    return len(bareiss_eliminate([integer_row(row)[0] for row in mat], jordan=False)[0])
 
 
 def _reference_nullspace(mat):
@@ -305,9 +301,10 @@ _entry = st.one_of(
     st.booleans(),
 )
 def test_nullspace_matches_fraction_reference(mat, duplicate):
+    # M^T M has the rational kernel of M, so the reference basis of M is its basis
     if duplicate:
         mat = mat + [[2 * x for x in mat[0]]]
-    assert rational_nullspace(mat) == _reference_nullspace(mat)
+    assert rational_nullspace(_gram(mat, len(mat[0])), 0) == _reference_nullspace(mat)
 
 
 @settings(max_examples=200, deadline=None)
@@ -319,13 +316,8 @@ def test_nullspace_matches_fraction_reference(mat, duplicate):
 )
 def test_psd_check_matches_fraction_reference(g, shift):
     # Gram matrices are PSD; a diagonal shift makes many of them indefinite
-    n = len(g[0])
-    mat = [
-        [sum((Fraction(r[i]) * r[j] for r in g), Fraction(0)) - (shift if i == j else 0)
-         for j in range(n)]
-        for i in range(n)
-    ]
-    assert psd_check_exact(mat) == _reference_psd(mat)
+    mat = _gram(g, len(g[0]))
+    assert psd_check_exact(mat, shift) == _reference_psd(_shifted(mat, shift))
 
 
 def _shifted(mat, r):
@@ -353,34 +345,6 @@ def test_rank_matches_fraction_reference(mat, copies):
     # repeated rows, and rows mixing int 0 with Fraction(1) as the edge-list parser writes them
     mat = mat + [list(mat[-1]) for _ in range(copies)]
     assert rational_rank(mat) == len(mat[0]) - len(_reference_nullspace(mat))
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(1, 5).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.lists(st.lists(_entry, min_size=n, max_size=n), min_size=0, max_size=n - 1),
-        )
-    ),
-    _entry,
-    _entry,
-)
-def test_is_exact_eigenvalue_matches_fraction_reference(shape, r, other):
-    n, g = shape
-    # G^T G with fewer rows than columns is singular, so r is an eigenvalue
-    mat = _shifted(_gram(g, n), -r)
-    assert is_exact_eigenvalue(mat, r)
-    for shift in (r, other, other + Fraction(1, 7)):
-        want = bool(_reference_nullspace(_shifted(mat, shift)))
-        assert is_exact_eigenvalue(mat, shift) == want
-
-
-def test_is_exact_eigenvalue_rejects_non_square():
-    with pytest.raises(ValueError, match="matrix must be square"):
-        is_exact_eigenvalue([[1, 0, 0]], 5)
-    with pytest.raises(ValueError, match="matrix must be square"):
-        is_exact_eigenvalue([[1], [0]], 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -478,6 +442,36 @@ def test_verified_integer_eigenvalues_match_bareiss_on_integer_matrices(mat):
     assert verified_integer_eigenvalues(mat) == _bareiss_only(mat, spectrum(mat).values)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_weighted_graphs(), st.fractions(min_value=-3, max_value=3, max_denominator=7))
+def test_graph_and_its_matrix_give_the_same_answers(g, r):
+    aq = g.adjacency_q()
+    lam = lambda_min_exact(g)
+    assert lam == lambda_min_exact(aq)
+    # at a rational minimum the kernel is not trivial
+    for shift in (r,) if lam is None else (r, lam):
+        mat = _shifted(aq, shift)
+        assert psd_check_exact(g, shift) == _reference_psd(mat)
+        assert rational_nullspace(g, shift) == _reference_nullspace(mat)
+
+
+def test_exact_entries_reject_bad_matrices():
+    # the float images of the second matrix are equal, so only an exact check sees it
+    for entry in (
+        lambda a: psd_check_exact(a, 0),
+        lambda a: rational_nullspace(a, 0),
+        lambda_min_exact,
+        verified_integer_eigenvalues,
+    ):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            entry([[1, 0, 0]])
+        with pytest.raises(ValueError, match="matrix is not symmetric"):
+            entry([[1, 1], [1 + Q(1, 10**30), 1]])
+    for entry in (psd_check_exact, rational_nullspace):
+        with pytest.raises(TypeError):
+            entry(petersen(), -2.0)
+
+
 def _count_rank_calls(monkeypatch):
     calls = []
     singular_at = spectra._singular_at
@@ -530,6 +524,4 @@ def test_eigenvectors_without_a_certificate_fall_back_to_the_rank(monkeypatch):
     rotated, _ = np.linalg.qr(np.random.default_rng(7).standard_normal(spec.vectors.shape))
     doctored = Spectrum(spec.values, rotated, spec.residual)
     assert verified_integer_eigenvalues(johnson(6, 2), doctored) == [-2, 2, 8]
-    assert calls == [-2, 2, 8]
-    assert is_exact_eigenvalue(johnson(6, 2).adjacency(dtype=object), Q(2))
     assert calls == [-2, 2, 8]
