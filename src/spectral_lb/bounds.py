@@ -33,6 +33,7 @@ from .cliqopt import (
 from .decomp import (
     CertificateError,
     CliquePartition,
+    DecompositionError,
     clique_partition_bound,
     clique_partition_stats,
     min_real_cubic_root,
@@ -46,7 +47,6 @@ MAX_BETA_ORDER = 14
 # masks of L per block of the beta scan: at n = 14 its traced peak is 0.3 MiB;
 # blocks of 512 doubled that and saved about a tenth of the time
 _BETA_BLOCK = 256
-MAX_ORBIT_ORDER = 10
 # a report runs lambda*_C (supported to n <= 12) to n <= 10 only: measured
 # 2026-10-19 on a 2-core machine with Python 3.11, it took 0.2-0.3 s on the
 # Petersen graph, 0.6-0.95 s on circulant(11, 2) and 1.3-2.0 s on the
@@ -424,97 +424,36 @@ def product_tightness(g1: SimpleGraph, k1: CliquePartition, g2: SimpleGraph, k2:
 
 
 # ---------------------------------------------------------------------------
-# transitivity
-
-
-def find_automorphism(g: SimpleGraph, forced: dict):
-    """Backtracking search for an automorphism extending the forced map."""
-
-    n = g.n
-    degs = g.degrees()
-    mapping = dict(forced)
-    used = set(mapping.values())
-    if len(used) != len(mapping):
-        return None
-    for a, b in mapping.items():
-        if degs[a] != degs[b]:
-            return None
-    # BFS order from the forced vertices gives early adjacency pruning
-    order = []
-    seen = set()
-    queue = list(mapping.keys()) or [0]
-    for s in queue:
-        seen.add(s)
-    i = 0
-    while i < len(queue):
-        u = queue[i]
-        i += 1
-        order.append(u)
-        for v in g.neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    for v in range(n):
-        if v not in seen:
-            order.append(v)
-            seen.add(v)
-
-    def bt(idx):
-        if idx == len(order):
-            return True
-        v = order[idx]
-        if v in mapping:
-            return bt(idx + 1)
-        for w in range(n):
-            if w in used or degs[w] != degs[v]:
-                continue
-            if all(
-                g.has_edge(v, u) == g.has_edge(w, x) for u, x in mapping.items()
-            ):
-                mapping[v] = w
-                used.add(w)
-                if bt(idx + 1):
-                    return True
-                del mapping[v]
-                used.remove(w)
-        return False
-
-    return dict(mapping) if bt(0) else None
-
-
-def is_vertex_transitive(g: SimpleGraph) -> bool:
-    require_order("vertex transitivity", g.n, MAX_ORBIT_ORDER)
-    return all(find_automorphism(g, {0: v}) is not None for v in range(1, g.n))
-
-
-def is_edge_transitive(g: SimpleGraph) -> bool:
-    require_order("edge transitivity", g.n, MAX_ORBIT_ORDER)
-    edges = g.edges()
-    if not edges:
-        return True
-    a, b = edges[0]
-    for u, v in edges:
-        if find_automorphism(g, {a: u, b: v}) is None and find_automorphism(
-            g, {a: v, b: u}
-        ) is None:
-            return False
-    return True
+# vertex- and edge-transitive graphs
 
 
 def vertrans_bound(g: SimpleGraph):
-    """lambda = -k/(omega - 1) for vertex- and edge-transitive G with alpha omega = n.
+    """Exact lambda = -k/(omega - 1) when alpha omega = n and the maximum cliques cover each edge equally.
 
-    Transitivity is established by brute-force orbit checks, which raise
-    CapExceeded above MAX_ORBIT_ORDER.  Returns None when the hypotheses fail.
+    G must be k-regular with an edge.  Every vertex- and edge-transitive G
+    with alpha omega = n qualifies: each edge lies in the same number mu of
+    maximum cliques.  Those cliques form a clique partition of mu G, so
+    -r/mu is a lower bound, and counting the pairs (maximum clique at u,
+    edge at u inside it) gives r_u (omega - 1) = k mu at every vertex, so
+    -r/mu = -k/(omega - 1).  Hoffman's upper bound -alpha k/(n - alpha)
+    takes the same value when alpha omega = n; the two are compared
+    exactly.  clique_number caps the order at MAX_CLIQUE_ORDER.
     """
 
-    if not (is_vertex_transitive(g) and is_edge_transitive(g)):
-        return None
-    alpha = independence_number(g)
-    omega = clique_number(g)
-    if alpha * omega != g.n or omega < 2:
-        return None
-    return Q(-_require_regular(g), omega - 1)
+    k = _require_regular(g, with_edge=True)
+    alpha, omega = independence_number(g), clique_number(g)
+    if alpha * omega != g.n:
+        raise NotApplicable("bound requires alpha omega = n")
+    cliques = [tuple(bit_indices(c)) for c in maximal_cliques(g) if c.bit_count() == omega]
+    u, v = cliques[0][:2]
+    mu = sum(1 for c in cliques if u in c and v in c)
+    try:
+        lower = clique_partition_bound(CliquePartition(mu, tuple(cliques)), g)
+    except DecompositionError:
+        raise NotApplicable("the maximum cliques do not cover every edge equally") from None
+    if lower != Q(-alpha * k, g.n - alpha):
+        raise CertificateError("the maximum-clique bound must meet Hoffman's bound")
+    return lower
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ Exit codes: 0 success, 1 failed check or row, 2 input error.  A graph
 above a size cap is not an input error: bounds lists each capped bound as
 skipped, and a command whose own computation is capped (the eigensolver,
 lambda*_K, lambda*_C) prints "<computation> skipped [<reason>]"; both exit 0.
+Every command that reads a graph compares the declared order (edge-list
+header or JSON n) with the cap of its first capped computation before any
+graph is built, so a document above that cap is a skip whatever its body.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import sys
 
 from . import catalog as cat
 from .bounds import bound_report
-from .cliqopt import lambda_star_C, lambda_star_K
+from .cliqopt import MAX_CLIQUE_ORDER, MAX_COMPLETE_ORDER, lambda_star_C, lambda_star_K
 from .decomp import CertificateError
 from .graph_io import (
     ParseError,
@@ -62,7 +65,6 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    # the declared order meets the eigensolver's cap before any graph is built
     g = _read_graph(args.graph, lambda n: require_order("spectrum", n, MAX_ORDER))
     spec = spectrum(g)
     exact = set()
@@ -78,7 +80,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    g = require_simple(_read_graph(args.graph))
+    g = require_simple(_read_graph(args.graph, lambda n: require_order("spectrum", n, MAX_ORDER)))
     partition = None
     if args.partition:
         with open(args.partition) as fh:
@@ -125,7 +127,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_lambda_star(args) -> int:
     # the solvers are looked up here, at call time, so that rebinding them
     # in this module (a test double, a tracer) reaches the command
-    g = _read_graph(args.graph)
+    cap = MAX_CLIQUE_ORDER if args.which == "K" else MAX_COMPLETE_ORDER
+    g = _read_graph(args.graph, lambda n: require_order(f"lambda*_{args.which}", n, cap))
     res = lambda_star_K(require_simple(g)) if args.which == "K" else lambda_star_C(g)
     print(f"lambda*_{args.which} = {format_q(res.value)}  (mu = {res.mu})")
     if args.cert:

@@ -222,13 +222,13 @@ def _rows_petersen(perturb):
     e = "petersen"
     g = _petersen(perturb)
     rows = []
-    spec = spectrum(g.adjacency())
+    spec = spectrum(g)
     expected = [-2.0] * 4 + [1.0] * 5 + [3.0]
     diff = max(abs(a - b) for a, b in zip(expected, spec.values)) if g.n == 10 else math.inf
     rows.append(
         ReproRow(e, "spectrum {-2^4, 1^5, 3}", "0", _fmt(diff), diff, 1e-9, diff <= 1e-9, "eigensolver")
     )
-    exact = lambda_min_exact(g)
+    exact = lambda_min_exact(g, spec)
     rows.append(_row(e, "lambda = -2 (exact)", Q(-2), exact, provenance="exact certificate"))
     try:
         d3 = cube_decomposition(g, 3, 2, 0)
@@ -373,7 +373,7 @@ def _rows_johnson():
         rows.append(_row(e, f"J({v},{k}) r_u = k", Q(k), Q(r), provenance="counting"))
         cert = clique_equality_certificate(part, g)
         rows.append(_row(e, f"J({v},{k}) certificate", True, cert is not None, provenance="exact kernel"))
-        spec = spectrum(g.adjacency())
+        spec = spectrum(g)
         got = sum(1 for x in spec.values if abs(x + k) < 1e-7)
         rows.append(_row(e, f"J({v},{k}) multiplicity C(v,k)-C(v,k-1)", Q(mult), Q(got), provenance="eigensolver"))
     return rows
@@ -424,14 +424,14 @@ def _rows_composition():
     # spectrum of G1[G2] for regular G2: eigenvalues of G2 (each m times) plus n lambda_j(G1) + k
     c4, k2 = catalog.cycle(4), catalog.complete(2)
     comp2 = composition(c4, k2)
-    spec = sorted(spectrum(comp2.adjacency()).values)
-    lam1 = sorted(spectrum(c4.adjacency()).values)
+    spec = sorted(spectrum(comp2).values)
+    lam1 = sorted(spectrum(c4).values)
     expected = sorted([-1.0] * 4 + [2 * x + 1 for x in lam1])
     diff = max(abs(a - b) for a, b in zip(expected, spec))
     rows.append(ReproRow(e, "composition spectrum formula", "0", _fmt(diff), diff, 1e-8, diff <= 1e-8, "eigensolver"))
     vb = vertrans_bound(composition(k2, empty2))
-    rows.append(_row(e, "K_2[K_2^c] transitive bound", Q(-2), vb, provenance="orbit check"))
-    rows.append(_row(e, "even cycle C_6 transitive bound", Q(-2), vertrans_bound(catalog.cycle(6)), provenance="orbit check"))
+    rows.append(_row(e, "K_2[K_2^c] transitive bound", Q(-2), vb, provenance="clique cover = hoffman"))
+    rows.append(_row(e, "even cycle C_6 transitive bound", Q(-2), vertrans_bound(catalog.cycle(6)), provenance="clique cover = hoffman"))
     return rows
 
 
@@ -531,7 +531,7 @@ def _rows_circulants():
     rows = []
     for n, r in ((10, 2), (12, 1), (15, 2), (21, 3)):
         closed = catalog.circulant_spectrum(n, r)
-        solved = spectrum(catalog.circulant(n, r).adjacency()).values
+        solved = spectrum(catalog.circulant(n, r)).values
         diff = max(abs(a - b) for a, b in zip(closed, solved))
         rows.append(
             ReproRow(e, f"C({n},{r}) closed form", "0", _fmt(diff), diff, 1e-8, diff <= 1e-8, "character sums")

@@ -8,6 +8,8 @@ from itertools import combinations, product
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+import networkx as nx
+from networkx.algorithms.isomorphism import GraphMatcher
 from networkx.generators.atlas import graph_atlas_g
 
 from corpus import connected_atlas, random_connected_graph
@@ -20,12 +22,9 @@ from spectral_lb.bounds import (
     chromatic_uppers,
     cubic_clawfree_check,
     cubic_clawfree_theta,
-    find_automorphism,
     find_diamonds,
     hoffman_upper,
-    is_edge_transitive,
     is_K1k_free,
-    is_vertex_transitive,
     lovasz_upper,
     product_partition,
     product_tightness,
@@ -41,6 +40,8 @@ from spectral_lb.catalog import (
     cycle,
     hamming,
     icosahedron,
+    johnson,
+    kneser,
     octahedron,
     petersen,
     prism,
@@ -49,7 +50,7 @@ from spectral_lb.catalog import (
 from spectral_lb.decomp import CliquePartition
 from spectral_lb.graphs import CapExceeded, NotApplicable, build_simple, composition
 from spectral_lb.rationals import Q, is_rational
-from spectral_lb.spectra import lambda_min
+from spectral_lb.spectra import lambda_min, lambda_min_exact, psd_check_exact
 
 
 # ---------------------------------------------------------------------------
@@ -462,34 +463,55 @@ def test_k2_x_k2():
 
 
 # ---------------------------------------------------------------------------
-# transitivity
+# vertex- and edge-transitive graphs
 
 
-def test_automorphism_search():
-    g = petersen()
-    auto = find_automorphism(g, {0: 5})
-    assert auto is not None
-    for u, v in g.edges():
-        assert g.has_edge(auto[u], auto[v])
-    path = build_simple(3, [(0, 1), (1, 2)])
-    assert find_automorphism(path, {0: 1}) is None  # degree mismatch
+def _transitive_by_automorphisms(h) -> bool:
+    """Vertex- and edge-transitivity of a networkx graph with an edge, from the orbits of one vertex and one edge."""
+
+    u, v = next(iter(h.edges()))
+    vertices, edges = set(), set()
+    for auto in GraphMatcher(h, h).isomorphisms_iter():
+        vertices.add(auto[u])
+        edges.add(frozenset((auto[u], auto[v])))
+        if len(vertices) == h.number_of_nodes() and len(edges) == h.number_of_edges():
+            return True
+    return False
 
 
-def test_transitivity_checks():
-    assert is_vertex_transitive(cycle(6)) and is_edge_transitive(cycle(6))
-    assert is_vertex_transitive(petersen()) and is_edge_transitive(petersen())
-    p4 = build_simple(4, [(0, 1), (1, 2), (2, 3)])
-    assert not is_vertex_transitive(p4)
-    star = build_simple(4, [(0, 1), (0, 2), (0, 3)])
-    assert is_edge_transitive(star) and not is_vertex_transitive(star)
+def test_vertrans_bound_accepts_exactly_the_transitive_atlas_graphs_with_alpha_omega_n():
+    # every graph on 1-7 vertices with an edge, disconnected ones included
+    accepted = 0
+    for h in graph_atlas_g():
+        if not h.number_of_edges():
+            continue
+        g = build_simple(h.number_of_nodes(), list(h.edges()))
+        alpha = max(map(len, nx.find_cliques(nx.complement(h))))
+        omega = max(map(len, nx.find_cliques(h)))
+        expected = _transitive_by_automorphisms(h) and alpha * omega == g.n
+        try:
+            value = vertrans_bound(g)
+        except NotApplicable:
+            assert not expected, list(h.edges())
+            continue
+        assert expected, list(h.edges())
+        assert value == Q(-max(g.degrees()), omega - 1) == lambda_min_exact(g)
+        accepted += 1
+    assert accepted == 13
 
 
 def test_vertrans_bound_cases():
     assert vertrans_bound(cycle(6)) == Q(-2)
     assert vertrans_bound(cycle(4)) == Q(-2)
     assert vertrans_bound(complete(5)) == Q(-1)
-    assert vertrans_bound(petersen()) is None  # alpha * omega = 8 != 10
-    assert vertrans_bound(build_simple(3, [(0, 1), (1, 2)])) is None
+    for g in (
+        petersen(),  # alpha * omega = 8 != 10
+        build_simple(3, [(0, 1), (1, 2)]),  # not regular
+        build_simple(4, []),  # no edge
+        prism(3),  # alpha * omega = 6, but the triangles miss the rungs
+    ):
+        with pytest.raises(NotApplicable):
+            vertrans_bound(g)
     # composition of qualifying graphs qualifies
     k2 = complete(2)
     empty2 = build_simple(2, [])
@@ -497,12 +519,21 @@ def test_vertrans_bound_cases():
     assert vertrans_bound(comp) == Q(-2)
 
 
-def test_vertrans_bound_above_the_orbit_cap_is_a_cap_not_a_failed_hypothesis():
-    # C12 is vertex- and edge-transitive with alpha omega = 6 * 2 = 12, so
-    # only the orbit search's cap stands between it and the bound
-    with pytest.raises(CapExceeded) as info:
-        vertrans_bound(cycle(12))
-    assert (info.value.what, info.value.reason) == ("vertex transitivity", "n = 12 exceeds the cap n <= 10")
+@pytest.mark.parametrize(
+    "g,value",
+    [
+        (cycle(12), -2),
+        (cycle(16), -2),
+        (johnson(6, 2), -2),
+        (kneser(6, 2), -3),
+        (hamming((2, 2, 2, 2)), -4),
+    ],
+    ids=["C12", "C16", "J(6,2)", "K(6,2)", "Q4"],
+)
+def test_vertrans_bound_is_exact_past_ten_vertices(g, value):
+    assert vertrans_bound(g) == value
+    assert psd_check_exact(g, value)
+    assert lambda_min_exact(g) == value
 
 
 # ---------------------------------------------------------------------------
@@ -611,9 +642,7 @@ def _capped_calls():
         (lambda_star_K, _path, cliqopt.MAX_CLIQUE_ORDER, "lambda*_K"),
         (lambda_star_C, _path, cliqopt.MAX_COMPLETE_ORDER, "lambda*_C"),
         (bipartiteness_ratio, _path, bounds.MAX_BETA_ORDER, "bipartiteness ratio"),
-        (is_vertex_transitive, _path, bounds.MAX_ORBIT_ORDER, "vertex transitivity"),
-        (is_edge_transitive, _path, bounds.MAX_ORBIT_ORDER, "edge transitivity"),
-        (vertrans_bound, cycle, bounds.MAX_ORBIT_ORDER, "vertex transitivity"),
+        (vertrans_bound, cycle, cliqopt.MAX_CLIQUE_ORDER, "clique number"),
         (trevisan_lower, cycle, bounds.MAX_BETA_ORDER, "bipartiteness ratio"),
         (hoffman_upper, cycle, cliqopt.MAX_CLIQUE_ORDER, "clique number"),
     ]

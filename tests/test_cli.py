@@ -301,35 +301,51 @@ def test_eigensolver_cap_is_checked_before_the_matrix_is_built(capsys, monkeypat
     assert peak < 10 * 2**20
 
 
+_HUGE_DOCUMENTS = {
+    "json": '{"fmt": 1, "type": "simple", "n": 1000000, "edges": []}',
+    "edge-list": "1000000 0\n",
+    "malformed-body": "1000000 1\n0 1000000\n",  # a malformed body above the cap is never read
+}
+# each command's first capped computation: bounds runs the eigensolver first
+_FIRST_CAP = {
+    "spectrum": "spectrum skipped [n = 1000000 exceeds the cap n <= 2048]",
+    "bounds": "spectrum skipped [n = 1000000 exceeds the cap n <= 2048]",
+    "lambda-star-k": "lambda*_K skipped [n = 1000000 exceeds the cap n <= 24]",
+    "lambda-star-c": "lambda*_C skipped [n = 1000000 exceeds the cap n <= 12]",
+}
+
+
 @pytest.mark.parametrize(
-    "text",
+    "command,doc",
     [
-        '{"fmt": 1, "type": "simple", "n": 1000000, "edges": []}',
-        "1000000 0\n",
-        "1000000 1\n0 1000000\n",  # a malformed body above the cap is never read
+        pytest.param(command, doc, id=doc if command == "spectrum" else f"{command}-{doc}")
+        for command in _FIRST_CAP
+        for doc in _HUGE_DOCUMENTS
     ],
-    ids=["json", "edge-list", "malformed-body"],
 )
-def test_spectrum_skips_from_the_declared_order(capsys, monkeypatch, text):
+def test_spectrum_skips_from_the_declared_order(capsys, monkeypatch, command, doc):
     # the graph of 10^6 vertices is never built: its rows alone would take 15 MiB
     import io
     import tracemalloc
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", io.StringIO(_HUGE_DOCUMENTS[doc]))
     tracemalloc.start()
     try:
-        result = run(capsys, "spectrum", "-")
+        result = run(capsys, command, "-")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result == (0, "spectrum skipped [n = 1000000 exceeds the cap n <= 2048]\n", "")
+    assert result == (0, _FIRST_CAP[command] + "\n", "")
     assert peak < 2**20
 
 
 def test_lambda_star_k_tests_for_an_edge_before_its_cap(tmp_path, capsys):
+    # below the cap an edgeless graph is an input error; above it, a skip from the header
     path = tmp_path / "edgeless.txt"
-    path.write_text("30 0\n")
+    path.write_text("24 0\n")
     assert run(capsys, "lambda-star-k", str(path)) == (2, "", "error: lambda*_K needs at least one edge\n")
+    path.write_text("25 0\n")
+    assert run(capsys, "lambda-star-k", str(path)) == (0, "lambda*_K skipped [n = 25 exceeds the cap n <= 24]\n", "")
 
 
 def test_bounds_below_cap_reports_no_skips(capsys, monkeypatch):

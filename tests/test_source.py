@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import spectral_lb
@@ -113,3 +114,20 @@ def test_every_definition_is_named_elsewhere_in_package():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in named
     ]
     assert not found, f"defined in the package but named nowhere else in it: {found}"
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # numpy is the one dependency in pyproject.toml; the oracles (networkx,
+    # scipy, hypothesis) are test extras and stay in tests/
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] not in allowed]
+    assert not found, f"imports outside the standard library and numpy: {found}"
